@@ -66,7 +66,7 @@ FusedSummary run_delivery(const net::NetworkConfig& net_cfg, std::size_t n) {
   FusedSummary s;
   s.imbalance = state.modes[0].belief;
   s.unknown = state.unknown;
-  s.fused = pdme.stats().reports_accepted;
+  s.fused = pdme.snapshot().reports_accepted;
   return s;
 }
 

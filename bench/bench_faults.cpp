@@ -122,10 +122,10 @@ SweepPoint run_sweep(double drop, bool reliable) {
   p.drop = drop;
   p.reliable = reliable;
   p.emitted = kReports;
-  p.applied = pdme.stats().reports_accepted;
-  p.retransmits = sender.stats().retransmits;
-  p.duplicates = pdme.stats().duplicates_dropped;
-  p.gaps = pdme.stats().gaps_detected;
+  p.applied = pdme.snapshot().reports_accepted;
+  p.retransmits = sender.snapshot().retransmits;
+  p.duplicates = pdme.snapshot().duplicates_dropped;
+  p.gaps = pdme.snapshot().gaps_detected;
   p.applied_fraction =
       static_cast<double>(p.applied) / static_cast<double>(p.emitted);
   return p;

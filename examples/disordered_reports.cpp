@@ -85,8 +85,8 @@ int main() {
   print_state("Disordered + duplicated delivery:", pdme_b,
               ship_b.plants[0].motor);
 
-  const auto na = pdme_a.stats();
-  const auto nb = pdme_b.stats();
+  const auto na = pdme_a.snapshot();
+  const auto nb = pdme_b.snapshot();
   std::printf("\nreports fused: in-order=%llu, disordered=%llu "
               "(duplicates dropped: %llu)\n",
               static_cast<unsigned long long>(na.reports_accepted),

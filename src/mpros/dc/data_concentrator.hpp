@@ -85,16 +85,11 @@ struct DcConfig {
   /// are withheld from the analyzers and reported as sensor faults.
   bool enable_sensor_validation = true;
   SensorValidatorConfig sensor_validation = chiller_validator_config();
-  /// Reliable report delivery: wrap reports in sequence-numbered envelopes,
-  /// buffer them until the PDME acks, and retransmit with backoff. Off =
-  /// legacy fire-and-forget FailureReportMsg datagrams.
+  /// Reliable report delivery: seal each sync window's ReportBatch under a
+  /// sequence number, buffer it until the PDME acks, and retransmit with
+  /// backoff. Off = fire-and-forget bare ReportBatch datagrams.
   bool reliable_delivery = true;
   net::ReliableConfig reliable;
-  /// Coalesce each sync window's reports into one ReportBatch datagram
-  /// (one sequence number on the reliable stream). Off = legacy
-  /// one-datagram-per-report flushing. Fused output is identical either
-  /// way; batching exists for wire and ingest efficiency.
-  bool batch_reports = true;
   /// Cadence of the scheduler task that sweeps the retransmit buffer.
   SimTime retransmit_sweep_period = SimTime::from_seconds(60.0);
   /// Cadence of DC->PDME liveness heartbeats (0 disables).
@@ -264,7 +259,6 @@ class DataConcentrator {
   [[nodiscard]] bool reliable_delivery() const {
     return cfg_.reliable_delivery;
   }
-  [[nodiscard]] bool batch_reports() const { return cfg_.batch_reports; }
   [[nodiscard]] net::ReliableSender& reliable() { return reliable_; }
   [[nodiscard]] const SensorValidator& validator() const {
     return validator_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/rng.hpp"
@@ -25,6 +26,15 @@ FleetSim::FleetSim(FleetSimConfig cfg)
     ship_cfg.uplink.name = name;
     ship_cfg.uplink.endpoint.clear();  // "hull-<k+1>"
     ship_cfg.seed = splitmix64(cfg_.seed ^ ((k + 1) * 0x9E3779B9));
+    if (ship_cfg.enable_durability) {
+      // Each hull journals into its own subdirectory: hulls sharing one
+      // WAL would recover each other's state.
+      char dir[32];
+      std::snprintf(dir, sizeof dir, "hull-%02zu", k + 1);
+      ship_cfg.durability.directory =
+          (std::filesystem::path(ship_cfg.durability.directory) / dir)
+              .string();
+    }
     if (ship_cfg.worker_threads == 0) {
       // N hulls already fan out across the host; per-ship pools of
       // hardware_concurrency would oversubscribe it N-fold.

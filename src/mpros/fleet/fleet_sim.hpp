@@ -19,7 +19,8 @@ struct FleetSimConfig {
   std::size_t ship_count = 4;
   /// Per-hull template; uplink.{enabled, ship, name, endpoint} are
   /// overridden per hull, worker_threads defaults to 1 (N ships already
-  /// parallelize the host).
+  /// parallelize the host). With durability enabled, hull k journals into
+  /// `<durability.directory>/hull-NN` (NN = k + 1, two digits).
   ShipSystemConfig ship_template;
   /// The ship-to-shore link: slower and lossier than any shipboard LAN.
   net::NetworkConfig shore;

@@ -120,8 +120,9 @@ std::optional<ReplayResult> replay_recording(
     }
   }
 
-  result.reports_fused = pdme.stats().reports_accepted;
-  result.sensor_batches = pdme.stats().sensor_batches;
+  const pdme::PdmeExecutive::Stats stats = pdme.snapshot();
+  result.reports_fused = stats.reports_accepted;
+  result.sensor_batches = stats.sensor_batches;
   result.summary = pdme::render_summary(pdme, model);
   return result;
 }

@@ -107,8 +107,6 @@ class ReliableSender {
   /// gauges live on their own accessors (unacked()) or in telemetry
   /// (net.retransmit_inflight).
   [[nodiscard]] Stats snapshot() const;
-  /// Deprecated: thin shim for snapshot() — same value, older name.
-  [[nodiscard]] Stats stats() const { return snapshot(); }
 
   /// The sender's full resumable state: sequence cursor, buffered unacked
   /// entries with their backoff timers, stats. take_state()/restore() let a
@@ -168,10 +166,10 @@ class ReliableReceiver {
   Outcome on_envelope(DcId dc, std::uint64_t sequence);
 
   /// Would on_envelope(dc, sequence) report a duplicate? Pure query — no
-  /// stats or stream mutation. The sharded PDME router asks this before
-  /// enqueueing so it can re-ack retransmissions without routing them, and
-  /// only commits the stream state (on_envelope) once the shard accepts the
-  /// report — acking a report that was never enqueued would lose it forever.
+  /// stats or stream mutation. The PDME asks this before fusing so it can
+  /// drop retransmissions whole, and only commits the stream state
+  /// (on_envelope) once the reports were fused — acking a report that never
+  /// reached fusion would lose it forever.
   [[nodiscard]] bool is_duplicate(DcId dc, std::uint64_t sequence) const;
 
   /// Cumulative ack for `dc` from current stream state (e.g. re-acking a
@@ -200,8 +198,6 @@ class ReliableReceiver {
   /// stream view lives on cumulative()/open_gaps(). Single-threaded like
   /// the rest of the receiver (the PDME driver owns it).
   [[nodiscard]] Stats snapshot() const { return stats_; }
-  /// Deprecated: thin shim for snapshot() — same value, older name.
-  [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
   struct Stream {

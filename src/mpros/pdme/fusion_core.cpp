@@ -15,7 +15,7 @@ namespace {
 
 /// Registry handles resolved once; observations are relaxed atomics after.
 /// Counters are process-wide, shared by every core (the Registry dedups by
-/// name), so sharded and inline runs report through the same names.
+/// name).
 struct CoreMetrics {
   telemetry::Counter& reports_accepted;
   telemetry::Counter& duplicates_dropped;
@@ -55,20 +55,20 @@ void FusionCore::count_duplicate() {
   CoreMetrics::instance().duplicates_dropped.inc();
 }
 
-void FusionCore::fuse(const net::FailureReport& r, std::uint64_t order,
-                      bool retest_enabled) {
+std::optional<RetestCandidate> FusionCore::fuse(const net::FailureReport& r,
+                                                bool retest_enabled) {
   CoreMetrics& metrics = CoreMetrics::instance();
   // Sensor-fault conclusions get their own track: fusing "the sensor lies"
   // into Dempster-Shafer would steal mass from real machinery modes.
   if (domain::is_sensor_fault_condition(r.machine_condition)) {
     note_sensor_fault(r);
-    return;
+    return std::nullopt;
   }
   if (!r.machine_condition.valid() ||
       r.machine_condition.value() > domain::kFailureModeCount) {
     ++stats_.malformed_dropped;
     metrics.malformed_dropped.inc();
-    return;
+    return std::nullopt;
   }
   // Stage timing rides the trace: traced reports (every DC test stamps one)
   // get the span and feed the wall-clock histogram; untraced bulk ingest
@@ -107,12 +107,13 @@ void FusionCore::fuse(const net::FailureReport& r, std::uint64_t order,
   ++track.reports;
   ++stats_.fusion_updates;
   metrics.fusion_updates.inc();
-  if (retest_enabled) maybe_record_retest(r, order);
 
   MPROS_LOG_DEBUG("pdme", "fused %s for obj=%llu belief=%.2f",
                   domain::to_string(mode),
                   static_cast<unsigned long long>(r.sensed_object.value()),
                   r.belief);
+  if (!retest_enabled) return std::nullopt;
+  return retest_candidate(r);
 }
 
 void FusionCore::note_sensor_fault(const net::FailureReport& r) {
@@ -141,25 +142,20 @@ void FusionCore::note_sensor_fault(const net::FailureReport& r) {
   }
 }
 
-void FusionCore::maybe_record_retest(const net::FailureReport& r,
-                                     std::uint64_t order) {
-  if (!cfg_.auto_retest) return;
-  if (r.severity < cfg_.retest_severity) return;
+std::optional<RetestCandidate> FusionCore::retest_candidate(
+    const net::FailureReport& r) const {
+  if (!cfg_.auto_retest) return std::nullopt;
+  if (r.severity < cfg_.retest_severity) return std::nullopt;
   const FailureMode mode = domain::failure_mode(r.machine_condition);
   const fusion::GroupState group =
       diagnostics_.state(r.sensed_object, domain::logical_group(mode));
   // Already corroborated: several reports and little unknown mass left. A
   // first-ever severe report always earns a closer look, however confident
   // its source was.
-  if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) return;
-  pending_retests_.push_back(
-      PendingRetest{r.dc, r.sensed_object, mode, r.timestamp, order});
-}
-
-std::vector<PendingRetest> FusionCore::take_pending_retests() {
-  std::vector<PendingRetest> out;
-  out.swap(pending_retests_);
-  return out;
+  if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) {
+    return std::nullopt;
+  }
+  return RetestCandidate{r.dc, r.sensed_object, mode, r.timestamp};
 }
 
 std::vector<std::uint64_t> FusionCore::machines() const {

@@ -80,9 +80,9 @@ TEST_F(ResidentTest, SensorDataLandsOnOosmObject) {
       model_.property(ship_.plants[0].chiller, "process.cond_pressure_kpa");
   ASSERT_TRUE(v.has_value());
   EXPECT_DOUBLE_EQ(v->numeric(), 1020.0);
-  EXPECT_EQ(pdme_.stats().sensor_batches, 1u);
+  EXPECT_EQ(pdme_.snapshot().sensor_batches, 1u);
   // Raw telemetry is not a report.
-  EXPECT_EQ(pdme_.stats().reports_accepted, 0u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
 }
 
 TEST_F(ResidentTest, FleetOutlierFlagged) {
@@ -165,7 +165,7 @@ TEST(AutoRetestTest, SevereUncorroboratedReportTriggersCommand) {
 
   ASSERT_EQ(commands.size(), 1u);
   EXPECT_EQ(commands[0].target, DcId(1));
-  EXPECT_EQ(pdme.stats().retests_commanded, 1u);
+  EXPECT_EQ(pdme.snapshot().retests_commanded, 1u);
 
   // Backoff: an immediate repeat does not re-command.
   r.timestamp = SimTime::from_seconds(200.0);
@@ -201,7 +201,7 @@ TEST(AutoRetestTest, CorroboratedConclusionNotRetested) {
   r.severity = 0.85;
   r.timestamp = SimTime::from_seconds(200.0);
   pdme.accept(r);
-  EXPECT_EQ(pdme.stats().retests_commanded, 0u);
+  EXPECT_EQ(pdme.snapshot().retests_commanded, 0u);
 }
 
 TEST(AutoRetestTest, ClosedLoopThroughShipSystem) {
@@ -217,7 +217,7 @@ TEST(AutoRetestTest, ClosedLoopThroughShipSystem) {
 
   // The first severe report commands an extra test, so the DC runs more
   // vibration tests than its periodic schedule alone (4 in 1.5h at 1200s).
-  EXPECT_GT(ship.pdme().stats().retests_commanded, 0u);
+  EXPECT_GT(ship.pdme().snapshot().retests_commanded, 0u);
   EXPECT_GT(ship.concentrator(0).stats().vibration_tests, 4u);
 }
 

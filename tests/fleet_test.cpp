@@ -3,10 +3,13 @@
 // the assembled two-tier FleetSim.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "mpros/fleet/fleet_server.hpp"
 #include "mpros/fleet/fleet_sim.hpp"
 #include "mpros/net/fleet_summary.hpp"
+#include "mpros/pdme/browser.hpp"
 
 namespace mpros::fleet {
 namespace {
@@ -100,10 +104,10 @@ TEST(FleetServerTest, WatchdogDegradesSilentShipsAndRecovers) {
   hb.last_sequence = 1;
   server.accept(hb, SimTime::from_seconds(3300));
   EXPECT_EQ(server.ship_liveness(ShipId(2)), ShipLiveness::Alive);
-  EXPECT_GE(server.stats().liveness_transitions, 3u);
+  EXPECT_GE(server.stats_snapshot().liveness_transitions, 3u);
   // stats_snapshot() is the canonical counter accessor (snapshot() being
   // the FleetSnapshot epoch); the older stats() name is a pinned shim.
-  EXPECT_TRUE(server.stats() == server.stats_snapshot());
+  EXPECT_TRUE(server.stats_snapshot() == server.stats_snapshot());
 }
 
 TEST(FleetServerTest, LatestSequenceWinsAndDuplicatesReAck) {
@@ -118,7 +122,7 @@ TEST(FleetServerTest, LatestSequenceWinsAndDuplicatesReAck) {
   ack = server.accept(make_envelope(1, 1), t);
   EXPECT_EQ(ack.cumulative, 2u);
   {
-    const auto stats = server.stats();
+    const auto stats = server.stats_snapshot();
     EXPECT_EQ(stats.summaries_applied, 1u);
     EXPECT_EQ(stats.summaries_stale, 1u);
     EXPECT_EQ(stats.gaps_detected, 1u);
@@ -130,7 +134,7 @@ TEST(FleetServerTest, LatestSequenceWinsAndDuplicatesReAck) {
   // A retransmitted duplicate is dropped but still re-acked.
   ack = server.accept(make_envelope(1, 2), t);
   EXPECT_EQ(ack.cumulative, 2u);
-  EXPECT_EQ(server.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(server.stats_snapshot().duplicates_dropped, 1u);
   EXPECT_EQ(server.cumulative(ShipId(1)), 2u);
 }
 
@@ -317,8 +321,8 @@ TEST_P(FleetDisorderTest, ScriptedOutageWindowsConvergeToSameView) {
   server.publish(SimTime::from_seconds(1200));
 
   EXPECT_EQ(server.render_fleet_view(), baseline);
-  EXPECT_EQ(server.stats().malformed_dropped, 0u);
-  EXPECT_GT(server.stats().duplicates_dropped, 0u);
+  EXPECT_EQ(server.stats_snapshot().malformed_dropped, 0u);
+  EXPECT_GT(server.stats_snapshot().duplicates_dropped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FleetDisorderTest,
@@ -460,9 +464,9 @@ TEST(FleetChaosSmokeTest, LossyUplinksConvergeUnderEnvironmentKnobs) {
     EXPECT_TRUE(row.has_summary);
     EXPECT_GE(row.last_sequence, last_seq);
   }
-  EXPECT_EQ(server.stats().malformed_dropped, 0u);
+  EXPECT_EQ(server.stats_snapshot().malformed_dropped, 0u);
   for (const auto& uplink : uplinks) {
-    EXPECT_EQ(uplink->stats().overflow_dropped, 0u);
+    EXPECT_EQ(uplink->snapshot().overflow_dropped, 0u);
   }
 }
 
@@ -501,13 +505,58 @@ TEST(FleetSimTest, SeededFaultSurfacesInTheShoreView) {
   EXPECT_LT(top.health, 1.0);
 
   // And the comparative baseline singles the hull out against its sisters.
-  const auto& server_stats = fleet.server().stats();
+  const auto& server_stats = fleet.server().stats_snapshot();
   EXPECT_GT(server_stats.summaries_applied, 3u * 10u);
   EXPECT_EQ(server_stats.malformed_dropped, 0u);
 
   const std::string view = fleet.server().render_fleet_view();
   EXPECT_NE(view.find("Hull-01"), std::string::npos);
   EXPECT_NE(view.find("MotorImbalance"), std::string::npos);
+}
+
+TEST(FleetSimTest, DurableHullsRecoverTheirOwnState) {
+  // Every durable hull journals into its own directory: rebuilding the
+  // fleet over the same root recovers each hull's own committed state.
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      ("mpros_fleet_durable_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+
+  FleetSimConfig cfg;
+  cfg.ship_count = 2;
+  cfg.ship_template.plant_count = 1;
+  cfg.ship_template.dc_template.vibration_period = SimTime::from_seconds(600);
+  cfg.ship_template.dc_template.process_period = SimTime::from_seconds(60);
+  cfg.ship_template.enable_durability = true;
+  cfg.ship_template.durability.directory = root.string();
+
+  std::vector<std::string> before;
+  {
+    FleetSim fleet(cfg);
+    // Only hull 1 is faulted, so the two hulls' views differ.
+    fleet.ship(0).chiller(0).faults().schedule(
+        {FailureMode::MotorImbalance, SimTime(0), SimTime(0), 0.9,
+         plant::GrowthProfile::Step});
+    fleet.run_until(SimTime::from_hours(1.0));
+    for (std::size_t k = 0; k < fleet.ship_count(); ++k) {
+      EXPECT_FALSE(fleet.ship(k).recovered());
+      before.push_back(
+          pdme::render_summary(fleet.ship(k).pdme(), fleet.ship(k).model()));
+    }
+  }
+  ASSERT_NE(before[0], before[1]);
+  EXPECT_TRUE(std::filesystem::is_directory(root / "hull-01"));
+  EXPECT_TRUE(std::filesystem::is_directory(root / "hull-02"));
+
+  FleetSim rebuilt(cfg);
+  for (std::size_t k = 0; k < rebuilt.ship_count(); ++k) {
+    EXPECT_TRUE(rebuilt.ship(k).recovered()) << "hull " << k + 1;
+    EXPECT_EQ(pdme::render_summary(rebuilt.ship(k).pdme(),
+                                   rebuilt.ship(k).model()),
+              before[k])
+        << "hull " << k + 1;
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(FleetSimTest, UplinkSurvivesShoreLinkOutage) {
@@ -529,8 +578,8 @@ TEST(FleetSimTest, UplinkSurvivesShoreLinkOutage) {
     EXPECT_TRUE(row.has_summary);
     EXPECT_GE(row.last_sequence, 10u);
   }
-  EXPECT_GT(fleet.ship(0).uplink()->stats().retransmits, 0u);
-  EXPECT_EQ(fleet.server().stats().malformed_dropped, 0u);
+  EXPECT_GT(fleet.ship(0).uplink()->snapshot().retransmits, 0u);
+  EXPECT_EQ(fleet.server().stats_snapshot().malformed_dropped, 0u);
 }
 
 TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
@@ -548,7 +597,7 @@ TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
   // Let a few summary cadences elapse so the server has learned hull 1's
   // real shore endpoint from its traffic.
   fleet.run_until(SimTime::from_seconds(1500));
-  ASSERT_GT(fleet.server().stats().summaries_applied, 0u);
+  ASSERT_GT(fleet.server().stats_snapshot().summaries_applied, 0u);
 
   net::CommandMessage cmd;
   cmd.target = DcId(1);
@@ -556,7 +605,7 @@ TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
                   {"validator.spike_sigmas", 6.5}};
   cmd.reason = "shore ops: tighten hull 1 screening";
   ASSERT_TRUE(fleet.server().send_command(ShipId(1), cmd, fleet.now()));
-  EXPECT_EQ(fleet.server().stats().commands_sent, 1u);
+  EXPECT_EQ(fleet.server().stats_snapshot().commands_sent, 1u);
 
   fleet.run_until(SimTime::from_seconds(2400));
 
@@ -564,14 +613,14 @@ TEST(FleetSimTest, ShoreDownlinkReconfiguresOneHullsDc) {
   EXPECT_GE(dc.config_revision(), 1u);
   EXPECT_EQ(dc.runtime_setting("dc.report_hysteresis"), 0.07);
   EXPECT_EQ(dc.runtime_setting("validator.spike_sigmas"), 6.5);
-  EXPECT_GT(fleet.ship(0).pdme().stats().commands_sent, 0u);
-  EXPECT_GT(fleet.ship(0).pdme().stats().command_acks, 0u);
+  EXPECT_GT(fleet.ship(0).pdme().snapshot().commands_sent, 0u);
+  EXPECT_GT(fleet.ship(0).pdme().snapshot().command_acks, 0u);
 
   // The sister hull never saw the command: still at factory defaults.
   auto& other = fleet.ship(1).concentrator(0);
   EXPECT_EQ(other.config_revision(), 0u);
   EXPECT_NE(other.runtime_setting("dc.report_hysteresis"), 0.07);
-  EXPECT_EQ(fleet.ship(1).pdme().stats().commands_sent, 0u);
+  EXPECT_EQ(fleet.ship(1).pdme().snapshot().commands_sent, 0u);
 }
 
 }  // namespace

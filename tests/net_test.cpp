@@ -454,8 +454,8 @@ TEST(ReliableChannelTest, AckRetiresBufferedEnvelopes) {
 }
 
 TEST(ReliableChannelTest, DeprecatedStatsShimsEqualSnapshots) {
-  // snapshot() is the canonical counter accessor; the older stats() name is
-  // a thin shim pinned to the same value.
+  // snapshot() is the counter accessor; it reflects every envelope,
+  // duplicate and ack.
   ReliableSender sender(DcId(5));
   ReliableReceiver receiver;
 
@@ -466,10 +466,10 @@ TEST(ReliableChannelTest, DeprecatedStatsShimsEqualSnapshots) {
   (void)receiver.on_envelope(env->dc, env->sequence);  // a duplicate too
   sender.on_ack(outcome.ack);
 
-  EXPECT_GT(sender.snapshot().enveloped, 0u);
-  EXPECT_TRUE(sender.stats() == sender.snapshot());
-  EXPECT_GT(receiver.snapshot().duplicates, 0u);
-  EXPECT_TRUE(receiver.stats() == receiver.snapshot());
+  EXPECT_EQ(sender.snapshot().enveloped, 1u);
+  EXPECT_EQ(sender.snapshot().acked, 1u);
+  EXPECT_EQ(receiver.snapshot().accepted, 1u);
+  EXPECT_EQ(receiver.snapshot().duplicates, 1u);
 }
 
 TEST(ReliableChannelTest, GapDetectedOnLaterSequenceThenHealed) {
@@ -487,8 +487,8 @@ TEST(ReliableChannelTest, GapDetectedOnLaterSequenceThenHealed) {
   EXPECT_EQ(heal.new_gaps, 0u);
   EXPECT_EQ(heal.ack.cumulative, 3u);  // cumulative jumps over the healed gap
   EXPECT_EQ(receiver.open_gaps(dc), 0u);
-  EXPECT_EQ(receiver.stats().gaps_detected, 1u);
-  EXPECT_EQ(receiver.stats().gaps_healed, 1u);
+  EXPECT_EQ(receiver.snapshot().gaps_detected, 1u);
+  EXPECT_EQ(receiver.snapshot().gaps_healed, 1u);
 }
 
 TEST(ReliableChannelTest, DuplicatesDroppedButStillAcked) {
@@ -499,7 +499,7 @@ TEST(ReliableChannelTest, DuplicatesDroppedButStillAcked) {
   // The previous ack may have been the datagram that got lost; a duplicate
   // arrival still earns a fresh cumulative ack.
   EXPECT_EQ(dup.ack.cumulative, 1u);
-  EXPECT_EQ(receiver.stats().duplicates, 1u);
+  EXPECT_EQ(receiver.snapshot().duplicates, 1u);
   // Per-DC streams are independent.
   EXPECT_FALSE(receiver.on_envelope(DcId(2), 1).duplicate);
 }
@@ -517,7 +517,7 @@ TEST(ReliableChannelTest, RetransmitTimersBackOffExponentially) {
   // Backed off to 20 s: due again at t=30, not t=29.
   EXPECT_TRUE(sender.due_retransmits(SimTime::from_seconds(29.0)).empty());
   EXPECT_EQ(sender.due_retransmits(SimTime::from_seconds(30.0)).size(), 1u);
-  EXPECT_EQ(sender.stats().retransmits, 2u);
+  EXPECT_EQ(sender.snapshot().retransmits, 2u);
 }
 
 TEST(ReliableChannelTest, BufferOverflowEvictsOldest) {
@@ -528,7 +528,7 @@ TEST(ReliableChannelTest, BufferOverflowEvictsOldest) {
     (void)sender.envelope(sample_report(), SimTime(0));
   }
   EXPECT_EQ(sender.unacked(), 4u);
-  EXPECT_EQ(sender.stats().overflow_dropped, 2u);
+  EXPECT_EQ(sender.snapshot().overflow_dropped, 2u);
   EXPECT_EQ(sender.last_sequence(), 6u);
 }
 
@@ -566,7 +566,7 @@ TEST(ReliableChannelTest, RetransmitDebtObservableInTelemetry) {
     // RTO walks 10 -> 20 -> 40 (ceiling, counted once per entry) -> 40.
     (void)sender.due_retransmits(SimTime::from_seconds(10.0));
     (void)sender.due_retransmits(SimTime::from_seconds(30.0));
-    EXPECT_EQ(sender.stats().max_backoff_hits, 2u);
+    EXPECT_EQ(sender.snapshot().max_backoff_hits, 2u);
     EXPECT_EQ(ceiling.value(), c0 + 2);
     (void)sender.due_retransmits(SimTime::from_seconds(100.0));
     EXPECT_EQ(ceiling.value(), c0 + 2);  // already at the ceiling: no recount
@@ -1131,7 +1131,7 @@ TEST(ReliableChannelTest, PersistentOutageCapsBackoffThenDrains) {
   }
   // 60, 180, 420 then every 240 s from 660 through 3540: 3 + 13 rounds.
   EXPECT_EQ(sweeps_with_work, 16u);
-  EXPECT_EQ(sender.stats().max_backoff_hits, 1u);  // counted once per entry
+  EXPECT_EQ(sender.snapshot().max_backoff_hits, 1u);  // counted once per entry
   EXPECT_EQ(ceiling.value(), c0 + 1);
   EXPECT_EQ(sender.unacked(), 1u);  // nothing got through, nothing lost
   EXPECT_TRUE(acks.empty());

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <string>
+
 #include "mpros/dc/data_concentrator.hpp"
 #include "mpros/oosm/ship_builder.hpp"
 #include "mpros/pdme/browser.hpp"
@@ -62,7 +66,7 @@ TEST_F(PdmeTest, FusionTriggeredViaOosmEvents) {
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
   EXPECT_EQ(state.report_count, 1u);
   EXPECT_NEAR(state.modes[0].belief, 0.8, 1e-9);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
 }
 
 TEST_F(PdmeTest, ThirdPartyReportObjectAlsoFused) {
@@ -116,7 +120,7 @@ TEST_F(PdmeTest, DuplicateRetransmissionDropped) {
       make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8);
   EXPECT_TRUE(pdme_.accept(report).has_value());
   EXPECT_FALSE(pdme_.accept(report).has_value());
-  EXPECT_EQ(pdme_.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(pdme_.snapshot().duplicates_dropped, 1u);
   const auto state =
       pdme_.group_state(motor_, domain::LogicalGroup::RotorDynamics);
   EXPECT_EQ(state.report_count, 1u);  // fused once, not twice
@@ -132,6 +136,42 @@ TEST_F(PdmeTest, PrioritizedListOrdersBySeverityWeightedBelief) {
   for (std::size_t i = 1; i < list.size(); ++i) {
     EXPECT_GE(list[i - 1].priority, list[i].priority);
   }
+}
+
+TEST_F(PdmeTest, HandPostedPrognosticsReadOnlyTheBitHexForm) {
+  // The prognostics property is the bit-hex codec blob
+  // ("x<prob bits>:<time bits>;"). Any other token — decimal, hex-float or
+  // garbage — is skipped, so exactly the bit-hex pair reaches fusion.
+  const auto bits = [](double v) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+    return std::string(buf);
+  };
+  const std::string prognostics = "0.25:86400;1.8p-1:1.2p+20;not-a-pair;x" +
+                                  bits(0.5) + ":" + bits(864000.0) + ";";
+  const ObjectId obj =
+      model_.create_object("manual report", domain::EquipmentKind::Report);
+  model_.set_property(obj, "dc", std::int64_t{9});
+  model_.set_property(obj, "ks", std::int64_t{2});
+  model_.set_property(obj, "sensed",
+                      static_cast<std::int64_t>(motor_.value()));
+  model_.set_property(
+      obj, "condition",
+      static_cast<std::int64_t>(
+          domain::condition_id(FailureMode::MotorImbalance).value()));
+  model_.set_property(obj, "severity", 0.5);
+  model_.set_property(obj, "belief", 0.7);
+  model_.set_property(obj, "timestamp_us", std::int64_t{1000});
+  model_.set_property(obj, "prognostics", prognostics);
+  model_.set_property(obj, "posted", std::int64_t{1});
+
+  const auto reports = pdme_.reports_for(motor_);
+  ASSERT_EQ(reports.size(), 1u);
+  ASSERT_EQ(reports.front().prognostics.size(), 1u);
+  EXPECT_EQ(reports.front().prognostics.front().probability, 0.5);
+  EXPECT_EQ(reports.front().prognostics.front().time_seconds, 864000.0);
+  EXPECT_TRUE(pdme_.prognosis(motor_, FailureMode::MotorImbalance).has_value());
 }
 
 TEST_F(PdmeTest, PrognosticFusionFeedsTimeToFailure) {
@@ -166,7 +206,7 @@ TEST_F(PdmeTest, NetworkAttachDeliversReports) {
                                      0.8)),
                SimTime(0));
   network.flush();
-  EXPECT_EQ(pdme_.stats().reports_accepted, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
 }
 
 TEST_F(PdmeTest, ResetMachineForgets) {
@@ -308,8 +348,8 @@ TEST_F(PdmeTest, MalformedConditionDropped) {
   auto bad = make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.5);
   bad.machine_condition = ConditionId(999);
   pdme_.accept(bad);
-  EXPECT_EQ(pdme_.stats().malformed_dropped, 1u);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 0u);
+  EXPECT_EQ(pdme_.snapshot().malformed_dropped, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
 }
 
 // --- Reliable envelope intake ------------------------------------------------
@@ -339,8 +379,8 @@ TEST_F(PdmeTest, EnvelopeStreamGapsDetectedAckedAndHealed) {
   network.send("dc-1", "pdme", p1, SimTime::from_seconds(1));
   network.send("dc-1", "pdme", p3, SimTime::from_seconds(2));
   network.flush();
-  EXPECT_EQ(pdme_.stats().envelopes_accepted, 2u);
-  EXPECT_EQ(pdme_.stats().gaps_detected, 1u);
+  EXPECT_EQ(pdme_.snapshot().envelopes_accepted, 2u);
+  EXPECT_EQ(pdme_.snapshot().gaps_detected, 1u);
   ASSERT_EQ(acks.size(), 2u);
   EXPECT_EQ(acks.back().cumulative, 1u);  // can't ack past the hole
 
@@ -349,17 +389,17 @@ TEST_F(PdmeTest, EnvelopeStreamGapsDetectedAckedAndHealed) {
   network.flush();
   ASSERT_EQ(acks.size(), 3u);
   EXPECT_EQ(acks.back().cumulative, 3u);
-  EXPECT_EQ(pdme_.receiver().stats().gaps_healed, 1u);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 3u);
+  EXPECT_EQ(pdme_.receiver().snapshot().gaps_healed, 1u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 3u);
 
   // A spurious re-retransmission is dropped but still acked (the DC may
   // simply have missed our ack).
   network.send("dc-1", "pdme", p2, SimTime::from_seconds(4));
   network.flush();
-  EXPECT_EQ(pdme_.stats().duplicates_dropped, 1u);
+  EXPECT_EQ(pdme_.snapshot().duplicates_dropped, 1u);
   ASSERT_EQ(acks.size(), 4u);
   EXPECT_EQ(acks.back().cumulative, 3u);
-  EXPECT_EQ(pdme_.stats().reports_accepted, 3u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 3u);
 
   sender.on_ack(acks.back());
   EXPECT_EQ(sender.unacked(), 0u);
@@ -381,8 +421,8 @@ TEST_F(PdmeTest, WatchdogMarksSilentDcStaleThenLost) {
   pdme_.accept(net::HeartbeatMessage{DcId(9), SimTime::from_seconds(200), 0},
                SimTime::from_seconds(200));
   EXPECT_EQ(pdme_.dc_liveness(DcId(9)), DcLiveness::Alive);
-  EXPECT_EQ(pdme_.stats().heartbeats_received, 1u);
-  EXPECT_GE(pdme_.stats().liveness_transitions, 3u);
+  EXPECT_EQ(pdme_.snapshot().heartbeats_received, 1u);
+  EXPECT_GE(pdme_.snapshot().liveness_transitions, 3u);
 
   // The watchdog never resurrects a DC on its own.
   pdme_.update_liveness(SimTime::from_seconds(500));
@@ -404,7 +444,7 @@ TEST_F(PdmeTest, HeartbeatAdvertisedTailSequenceCountsGaps) {
   // Nothing arrived, but the DC claims it sent 2 reports: both are gaps.
   pdme_.accept(net::HeartbeatMessage{DcId(1), SimTime::from_seconds(60), 2},
                SimTime::from_seconds(60));
-  EXPECT_EQ(pdme_.stats().gaps_detected, 2u);
+  EXPECT_EQ(pdme_.snapshot().gaps_detected, 2u);
   EXPECT_EQ(pdme_.receiver().open_gaps(DcId(1)), 2u);
 }
 
@@ -418,7 +458,7 @@ TEST_F(PdmeTest, SensorFaultReportsBypassFusionIntoQuarantineLedger) {
   r.explanation = "vib.motor: impulsive outliers beyond robust scatter";
   pdme_.accept(r);
 
-  EXPECT_EQ(pdme_.stats().sensor_fault_reports, 1u);
+  EXPECT_EQ(pdme_.snapshot().sensor_fault_reports, 1u);
   // The instrument fault never reaches Dempster-Shafer or the list.
   EXPECT_TRUE(pdme_.prioritized_list(motor_).empty());
   const auto faults = pdme_.sensor_faults();
@@ -438,83 +478,6 @@ TEST_F(PdmeTest, SensorFaultReportsBypassFusionIntoQuarantineLedger) {
   pdme_.accept(clear);
   EXPECT_TRUE(pdme_.sensor_faults().empty());
   EXPECT_EQ(pdme_.sensor_faults(/*active_only=*/false).size(), 1u);
-}
-
-// --- Sharded executive (E18) -------------------------------------------------
-
-TEST(PdmeShardedTest, DeferredPostsMaterializeAtSynchronize) {
-  oosm::ObjectModel model;
-  const auto ship = oosm::build_ship(model, "Test", 1, 1);
-  const ObjectId motor = ship.plants.front().motor;
-  PdmeConfig cfg;
-  cfg.shard_count = 2;
-  PdmeExecutive exec(model, cfg);
-  const std::size_t baseline = model.object_count();
-
-  // Sharded accept() only enqueues: no object id yet, no OOSM mutation.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(exec.accept(make_report(motor, FailureMode::MotorImbalance,
-                                         0.6, 0.6, /*ks=*/i + 1,
-                                         100.0 + 10.0 * i))
-                     .has_value());
-  }
-  EXPECT_EQ(model.object_count(), baseline);
-
-  // The aggregation barrier drains the workers and replays the posts.
-  exec.synchronize();
-  EXPECT_EQ(model.object_count(), baseline + 3);
-  EXPECT_EQ(exec.stats().reports_accepted, 3u);
-  const auto state =
-      exec.group_state(motor, domain::LogicalGroup::RotorDynamics);
-  EXPECT_EQ(state.report_count, 3u);
-}
-
-TEST(PdmeShardedTest, BlockPolicyShedsNothing) {
-  oosm::ObjectModel model;
-  const auto ship = oosm::build_ship(model, "Test", 2, 2);
-  PdmeConfig cfg;
-  cfg.shard_count = 4;
-  cfg.shard_queue_capacity = 2;  // force backpressure, not loss
-  cfg.overflow_policy = OverflowPolicy::Block;
-  PdmeExecutive exec(model, cfg);
-
-  std::vector<ObjectId> machines;
-  for (const auto& plant : ship.plants) {
-    machines.insert(machines.end(), {plant.chiller, plant.motor, plant.gearbox,
-                                     plant.compressor});
-  }
-  constexpr std::size_t kReports = 300;
-  for (std::size_t i = 0; i < kReports; ++i) {
-    exec.accept(make_report(machines[i % machines.size()],
-                            FailureMode::MotorBearingWear, 0.5, 0.5, /*ks=*/1,
-                            100.0 + static_cast<double>(i)));
-  }
-  exec.synchronize();
-  // Block is lossless: every distinct report fused, however small the queue.
-  EXPECT_EQ(exec.stats().reports_accepted, kReports);
-}
-
-TEST(PdmeShardedTest, DropOldestAccountsForEveryEviction) {
-  oosm::ObjectModel model;
-  const auto ship = oosm::build_ship(model, "Test", 1, 1);
-  const ObjectId motor = ship.plants.front().motor;
-  PdmeConfig cfg;
-  cfg.shard_count = 1;
-  cfg.shard_queue_capacity = 2;
-  cfg.overflow_policy = OverflowPolicy::DropOldest;
-  PdmeExecutive exec(model, cfg);
-
-  constexpr std::size_t kReports = 500;
-  for (std::size_t i = 0; i < kReports; ++i) {
-    exec.accept(make_report(motor, FailureMode::MotorImbalance, 0.5, 0.5, 1,
-                            100.0 + static_cast<double>(i)));
-  }
-  exec.synchronize();
-  // Conservation under shedding: every submission either fused or was the
-  // push that found the queue full and evicted its oldest entry.
-  const auto stats = exec.stats();
-  EXPECT_EQ(stats.reports_accepted + stats.queue_full, kReports);
-  EXPECT_LE(stats.reports_accepted, kReports);
 }
 
 }  // namespace

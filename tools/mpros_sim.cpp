@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
                   pdme::export_mimosa(ship.pdme(), ship.model()).c_str());
     } else if (show == "stats") {
       const auto stats = ship.fleet_stats();
-      const auto pstats = ship.pdme().stats();
+      const auto pstats = ship.pdme().snapshot();
       auto& reg = telemetry::Registry::instance();
       std::printf("samples=%llu reports=%llu fused=%llu dropped=%llu "
                   "duplicated=%llu retests=%llu\n",
@@ -217,14 +217,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(stats.network.dropped),
                   static_cast<unsigned long long>(stats.network.duplicated),
                   static_cast<unsigned long long>(pstats.retests_commanded));
-      std::printf("queue_full=%llu",
-                  static_cast<unsigned long long>(pstats.queue_full));
-      for (std::size_t s = 0; s < ship.pdme().shard_count(); ++s) {
-        std::printf(" shard%zu.depth=%.0f", s,
-                    reg.gauge("pdme.shard" + std::to_string(s) + ".depth")
-                        .value());
-      }
-      std::printf("\nsupervisor: wedges=%llu restarts=%llu; config: "
+      std::printf("supervisor: wedges=%llu restarts=%llu; config: "
                   "commands=%llu acks=%llu applied=%llu rejected=%llu\n\n",
                   static_cast<unsigned long long>(
                       reg.counter("dc.wedges_detected").value()),

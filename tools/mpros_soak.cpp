@@ -3,10 +3,9 @@
 // Drives N independent hulls through a long simulated voyage while chaos
 // injection hammers the shipboard layer, and re-checks the system's
 // standing invariants at every soak checkpoint — not just at the end, so a
-// violation pins the simulated minute it first appeared. Hull 0 runs the
-// sharded PDME and hull 1 is its inline mirror (same seed, same faults,
-// same chaos), turning the E18 shard-equivalence property into a
-// continuously evaluated invariant.
+// violation pins the simulated minute it first appeared. Hulls 0 and 1 are
+// identical mirrors (same seed, same faults, same chaos), turning run-to-run
+// determinism into a continuously evaluated invariant.
 //
 // Chaos knobs come from the environment so one binary serves both the CI
 // job and the nightly soak without recompilation:
@@ -18,9 +17,6 @@
 //                            supervisor must detect and recover it
 //   MPROS_CHAOS_CHURN=S      every S seconds, command a runtime config
 //                            change (rotating key/value) on a rotating DC
-//   MPROS_CHAOS_BATCH=0      flush one datagram per report instead of the
-//                            sync-window ReportBatch coalescing (E21);
-//                            default/1 keeps batching on
 //   MPROS_CHAOS_CRASH=S      every S seconds, kill BOTH mirror hulls
 //                            mid-voyage (destroy the ShipSystem, no
 //                            shutdown) and rebuild each from its durable
@@ -28,7 +24,7 @@
 //                            satisfying every invariant, I1 included
 //
 // Invariants (any violation = nonzero exit naming the simulated time):
-//   I1 shard equivalence      the mirror hulls' fused views render
+//   I1 mirror determinism     the mirror hulls' fused views render
 //                             byte-identical (summary + ICAS export)
 //   I2 delivery conservation  per hull: sent + duplicated ==
 //                             delivered + dropped + dead_lettered + in_flight
@@ -163,17 +159,15 @@ int main(int argc, char** argv) {
   const auto [outage_period_s, outage_len_s] = env_outage();
   const bool chaos_wedge = env_flag("MPROS_CHAOS_WEDGE");
   const double churn_period_s = env_double("MPROS_CHAOS_CHURN", 0.0);
-  const bool chaos_batch = env_double("MPROS_CHAOS_BATCH", 1.0) != 0.0;
   const double crash_period_s = env_double("MPROS_CHAOS_CRASH", 0.0);
 
   std::printf(
       "mpros_soak: %zu hull(s) x %zu plant(s), %.0f simulated hour(s)%s\n"
       "chaos: drop=%.3f dup=%.3f outage=%.0fs/%.0fs wedge=%d churn=%.0fs "
-      "batch=%d crash=%.0fs\n",
+      "crash=%.0fs\n",
       ships, plants, hours, short_mode ? " (short/CI profile)" : "",
       chaos_drop, chaos_dup, outage_period_s, outage_len_s,
-      chaos_wedge ? 1 : 0, churn_period_s, chaos_batch ? 1 : 0,
-      crash_period_s);
+      chaos_wedge ? 1 : 0, churn_period_s, crash_period_s);
 
   // Durable OOSM directories for the mirror pair: only armed when the
   // crash injector is on (a crash needs something to recover from).
@@ -186,8 +180,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- assemble the fleet -------------------------------------------------
-  // Hull 0 shards its PDME, hull 1 is the inline mirror with the identical
-  // seed/fault/chaos script; hulls 2.. add population under varied seeds.
+  // Hulls 0 and 1 are mirrors with the identical seed/fault/chaos script;
+  // hulls 2.. add population under varied seeds.
   const auto make_cfg = [&](std::size_t h) {
     ShipSystemConfig cfg;
     cfg.plant_count = plants;
@@ -196,9 +190,6 @@ int main(int argc, char** argv) {
     cfg.network.seed = mirror_pair ? 0xC0FFEE : 0xC0FFEE + h;
     cfg.network.drop_probability = chaos_drop;
     cfg.network.duplicate_probability = chaos_dup;
-    cfg.pdme.shard_count = (h == 1) ? 0 : 2;  // hull 1 is the inline mirror
-    cfg.pdme.auto_retest = false;  // retest timing differs inline vs sharded
-    cfg.dc_template.batch_reports = chaos_batch;
     if (crash_period_s > 0.0 && mirror_pair) {
       cfg.enable_durability = true;
       cfg.durability.directory =
@@ -287,7 +278,7 @@ int main(int argc, char** argv) {
     if (chaos_live && next_crash.micros() >= 0 && t >= next_crash) {
       // Kill -9 analogue on BOTH mirror hulls: destroy each ShipSystem with
       // no shutdown path, then rebuild over its durable directory. Both
-      // recover the same committed barrier, so the shard-equivalence
+      // recover the same committed barrier, so the mirror-determinism
       // invariant must keep holding for the rest of the voyage.
       const SimTime committed = fleet[0]->now();
       for (std::size_t h = 0; h < 2 && h < ships; ++h) {
@@ -362,11 +353,9 @@ int main(int argc, char** argv) {
     next_check = next_check + check;
 
     // I1: the mirror hulls must agree byte-for-byte.
-    const std::string sharded = fused_fingerprint(*fleet[0]);
-    const std::string inlined = fused_fingerprint(*fleet[1]);
-    if (sharded != inlined) {
-      return fail(t, "shard equivalence broken: hull 0 (sharded) and hull 1 "
-                     "(inline mirror) render different fused views");
+    if (fused_fingerprint(*fleet[0]) != fused_fingerprint(*fleet[1])) {
+      return fail(t, "mirror determinism broken: identical hulls 0 and 1 "
+                     "render different fused views");
     }
 
     for (std::size_t h = 0; h < ships; ++h) {
@@ -383,7 +372,7 @@ int main(int argc, char** argv) {
       }
 
       // I3: cumulative PDME counters never regress.
-      const pdme::PdmeExecutive::Stats s = fleet[h]->pdme().stats();
+      const pdme::PdmeExecutive::Stats s = fleet[h]->pdme().snapshot();
       const pdme::PdmeExecutive::Stats& prev = last_stats[h];
       if (s.reports_accepted < prev.reports_accepted ||
           s.envelopes_accepted < prev.envelopes_accepted ||
@@ -447,7 +436,7 @@ int main(int argc, char** argv) {
       "  chaos:   %zu outage(s), %zu wedge(s), %zu config churn(s), "
       "%zu crash(es)\n"
       "  healed:  %llu wedge(s) detected, %llu supervised restart(s)\n"
-      "  config:  %llu applied, %llu rejected; pdme.queue_full=%llu\n",
+      "  config:  %llu applied, %llu rejected\n",
       hours, static_cast<unsigned long long>(datagrams),
       static_cast<unsigned long long>(reports),
       static_cast<unsigned long long>(samples), outage_count, wedge_count,
@@ -458,8 +447,7 @@ int main(int argc, char** argv) {
           reg.counter("mpros.supervisor_restarts").value()),
       static_cast<unsigned long long>(reg.counter("dc.config_applied").value()),
       static_cast<unsigned long long>(
-          reg.counter("dc.config_rejected").value()),
-      static_cast<unsigned long long>(reg.counter("pdme.queue_full").value()));
+          reg.counter("dc.config_rejected").value()));
   if (chaos_wedge && wedge_count > 0 &&
       reg.counter("mpros.supervisor_restarts").value() == 0) {
     std::fprintf(stderr, "mpros_soak: wedges were injected but the "
