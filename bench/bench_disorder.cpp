@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "mpros/net/network.hpp"
+#include "mpros/net/reliable.hpp"
 #include "mpros/oosm/ship_builder.hpp"
 #include "mpros/pdme/pdme.hpp"
 
@@ -56,8 +57,15 @@ FusedSummary run_delivery(const net::NetworkConfig& net_cfg, std::size_t n) {
   net::SimNetwork network(net_cfg);
   pdme.attach_to_network(network);
 
+  // Each report rides its own sequenced one-report batch; dc-1 absorbs the
+  // PDME's acks. Nothing is retransmitted: loss stays loss.
+  net::ReliableSender sender(DcId(1));
+  network.register_endpoint("dc-1", [&](const net::Message& m) {
+    if (const auto ack = net::try_unwrap_ack(m.payload)) sender.on_ack(*ack);
+  });
   for (const auto& r : report_set(ship.plants[0].motor, n)) {
-    network.send("dc-1", "pdme", net::wrap(r), r.timestamp);
+    network.send("dc-1", "pdme", sender.envelope({&r, 1}, r.timestamp),
+                 r.timestamp);
   }
   network.flush();
 

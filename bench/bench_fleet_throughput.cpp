@@ -96,7 +96,7 @@ void BM_WireSerialization(benchmark::State& state) {
   r.prognostics = {{0.1, 86400.0}, {0.5, 604800.0}, {0.9, 2592000.0}};
   for (auto _ : state) {
     const auto bytes = net::serialize(r);
-    benchmark::DoNotOptimize(net::deserialize_report(bytes));
+    benchmark::DoNotOptimize(net::try_deserialize_report(bytes));
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel("report round-trips");

@@ -4,10 +4,12 @@
 //
 // The same six-report set is delivered (a) in order on a perfect network
 // and (b) shuffled/duplicated/delayed on a hostile one; the fused beliefs
-// are printed side by side.
+// are printed side by side. Exits nonzero if the two prioritized lists
+// differ.
 //
 //   ./build/examples/disordered_reports
 
+#include <cmath>
 #include <cstdio>
 
 #include "mpros/mpros/mpros.hpp"
@@ -57,6 +59,21 @@ void print_state(const char* label, pdme::PdmeExecutive& pdme,
   }
 }
 
+/// Same modes in the same order with the same fused belief and
+/// plausibility, to rounding (combination order may differ).
+bool same_list(const std::vector<pdme::MaintenanceItem>& a,
+               const std::vector<pdme::MaintenanceItem>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].mode != b[i].mode ||
+        std::abs(a[i].fused_belief - b[i].fused_belief) > 1e-9 ||
+        std::abs(a[i].plausibility - b[i].plausibility) > 1e-9) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -76,8 +93,15 @@ int main() {
   hostile.seed = 1234;
   net::SimNetwork network(hostile);
   pdme_b.attach_to_network(network);
+  // Each report rides its own sequenced one-report batch from dc-1, which
+  // absorbs the PDME's acks.
+  net::ReliableSender sender(DcId(1));
+  network.register_endpoint("dc-1", [&](const net::Message& m) {
+    if (const auto ack = net::try_unwrap_ack(m.payload)) sender.on_ack(*ack);
+  });
   for (const auto& r : make_reports(ship_b.plants[0].motor)) {
-    network.send("dc-1", "pdme", net::wrap(r), r.timestamp);
+    network.send("dc-1", "pdme", sender.envelope({&r, 1}, r.timestamp),
+                 r.timestamp);
   }
   network.flush();
 
@@ -92,6 +116,12 @@ int main() {
               static_cast<unsigned long long>(na.reports_accepted),
               static_cast<unsigned long long>(nb.reports_accepted),
               static_cast<unsigned long long>(nb.duplicates_dropped));
+  if (!same_list(pdme_a.prioritized_list(ship_a.plants[0].motor),
+                 pdme_b.prioritized_list(ship_b.plants[0].motor))) {
+    std::printf("MISMATCH: disordered delivery changed the prioritized "
+                "list.\n");
+    return 1;
+  }
   std::printf("Fused beliefs match because Dempster-Shafer combination is "
               "commutative and the PDME de-duplicates retransmissions.\n");
   return 0;

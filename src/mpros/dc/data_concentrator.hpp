@@ -85,19 +85,17 @@ struct DcConfig {
   /// are withheld from the analyzers and reported as sensor faults.
   bool enable_sensor_validation = true;
   SensorValidatorConfig sensor_validation = chiller_validator_config();
-  /// Reliable report delivery: seal each sync window's ReportBatch under a
-  /// sequence number, buffer it until the PDME acks, and retransmit with
-  /// backoff. Off = fire-and-forget bare ReportBatch datagrams.
-  bool reliable_delivery = true;
+  /// Report delivery: each sync window's ReportBatch is sealed under a
+  /// sequence number, buffered until the PDME acks, and retransmitted with
+  /// backoff.
   net::ReliableConfig reliable;
-  /// Cadence of the scheduler task that sweeps the retransmit buffer.
+  /// Cadence of the scheduler task that sweeps the retransmit buffer. The
+  /// sweep and the heartbeat are offset by a seeded per-DC phase
+  /// (net::desync_phase) so hundreds of DCs brought up together do not
+  /// burst-retransmit in lockstep when an outage ends.
   SimTime retransmit_sweep_period = SimTime::from_seconds(60.0);
   /// Cadence of DC->PDME liveness heartbeats (0 disables).
   SimTime heartbeat_period = SimTime::from_seconds(60.0);
-  /// Offset the retransmit sweep and heartbeat by a seeded per-DC phase
-  /// (net::desync_phase) so hundreds of DCs brought up together do not
-  /// burst-retransmit in lockstep when an outage ends.
-  bool desync_phase = true;
 };
 
 class DataConcentrator {
@@ -256,9 +254,6 @@ class DataConcentrator {
   /// ran (wedged advances do not count). The supervisor watches this.
   [[nodiscard]] std::uint64_t progress() const { return progress_; }
 
-  [[nodiscard]] bool reliable_delivery() const {
-    return cfg_.reliable_delivery;
-  }
   [[nodiscard]] net::ReliableSender& reliable() { return reliable_; }
   [[nodiscard]] const SensorValidator& validator() const {
     return validator_;
@@ -326,7 +321,6 @@ class DataConcentrator {
   EventScheduler::TaskId vibration_task_ = 0;
   EventScheduler::TaskId process_task_ = 0;
   EventScheduler::TaskId sweep_task_ = 0;
-  bool has_sweep_task_ = false;
   EventScheduler::TaskId heartbeat_task_ = 0;
   bool has_heartbeat_task_ = false;
   db::Database db_;

@@ -403,17 +403,11 @@ void ShipSystem::flush_dc(std::size_t i,
   const std::string endpoint = "dc-" + std::to_string(i + 1);
   dc::DataConcentrator& dc = *dcs_[i];
   if (!reports.empty()) {
-    // The whole sync window rides one ReportBatch datagram — in reliable
-    // mode sealed under a single sequence number, so the retransmit window
-    // and ack traffic scale with flushes, not reports.
-    const std::span<const net::FailureReport> window(reports.data(),
-                                                     reports.size());
+    // The whole sync window rides one ReportBatch datagram sealed under a
+    // single sequence number, so the retransmit window and ack traffic
+    // scale with flushes, not reports.
     const SimTime at = reports.back().timestamp;
-    network_.send(endpoint, "pdme",
-                  dc.reliable_delivery()
-                      ? dc.reliable().envelope(window, at)
-                      : net::wrap_batch(DcId(i + 1), window),
-                  at);
+    network_.send(endpoint, "pdme", dc.reliable().envelope(reports, at), at);
   }
   for (const net::SensorDataMessage& batch : dc.drain_sensor_data()) {
     network_.send(endpoint, "pdme", net::wrap(batch), batch.timestamp);

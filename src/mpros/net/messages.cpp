@@ -1,6 +1,5 @@
 #include "mpros/net/messages.hpp"
 
-#include "mpros/common/assert.hpp"
 #include "mpros/net/codec.hpp"
 
 namespace mpros::net {
@@ -13,96 +12,44 @@ constexpr std::uint8_t kCommandVersion = 1;
 constexpr std::uint16_t kBatchMagic = 0x4252;  // "RB"
 constexpr std::uint8_t kBatchVersion = 1;
 
-/// Batch body: magic, version, source DC, report count, then that many
-/// report frames back to back (each a full magic+version report encoding,
-/// so a frame-level version bump never needs a batch version bump).
-void append_batch_body(Writer& w, DcId dc,
-                       std::span<const FailureReport> reports) {
-  w.u16(kBatchMagic);
-  w.u8(kBatchVersion);
-  w.u64(dc.value());
-  w.u32(static_cast<std::uint32_t>(reports.size()));
-  for (const FailureReport& r : reports) serialize_report_into(w, r);
-}
-
-/// Decodes a batch body into the arena's prefix, stamping `sequence` on
-/// every element. Returns the view or nullopt; the arena only grows.
-std::optional<ReportBatchView> try_read_batch_body(
-    std::span<const std::uint8_t> body, std::uint64_t sequence,
-    std::vector<ReportEnvelope>& arena) {
-  TryReader rd(body);
-  if (rd.u16() != kBatchMagic) return std::nullopt;
-  const std::uint8_t version = rd.u8();
-  if (!rd.ok() || version < 1 || version > kBatchVersion) return std::nullopt;
-  ReportBatchView view;
-  view.dc = DcId(rd.u64());
-  view.sequence = sequence;
-  const std::uint32_t n = rd.u32();
-  // The smallest legal report frame is far above 64 bytes: reject counts
-  // the payload cannot hold before growing the arena.
-  if (!rd.ok() || n > rd.remaining() / 64) return std::nullopt;
-  if (arena.size() < n) arena.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ReportEnvelope& slot = arena[i];
-    if (!try_read_report_frame(rd, slot.report)) return std::nullopt;
-    if (slot.report.dc != view.dc) return std::nullopt;  // forged source
-    slot.dc = view.dc;
-    slot.sequence = sequence;
-  }
-  if (!rd.done()) return std::nullopt;
-  view.count = n;
-  return view;
-}
-
 }  // namespace
 
 const char* to_string(MessageType t) {
   switch (t) {
-    case MessageType::FailureReportMsg: return "failure-report";
     case MessageType::SensorData: return "sensor-data";
     case MessageType::TestCommand: return "test-command";
-    case MessageType::ReportEnvelopeMsg: return "report-envelope";
     case MessageType::Ack: return "ack";
     case MessageType::Heartbeat: return "heartbeat";
     case MessageType::FleetSummaryEnvelopeMsg: return "fleet-summary";
     case MessageType::Command: return "command";
     case MessageType::CommandEnvelopeMsg: return "command-envelope";
-    case MessageType::ReportBatchMsg: return "report-batch";
     case MessageType::ReportBatchEnvelopeMsg: return "report-batch-envelope";
+    case MessageType::FailureReportMsg:  // retired numbers
+    case MessageType::ReportEnvelopeMsg:
+    case MessageType::ReportBatchMsg:
+      break;
   }
   return "?";
-}
-
-MessageType peek_type(std::span<const std::uint8_t> bytes) {
-  MPROS_EXPECTS(!bytes.empty());
-  return static_cast<MessageType>(bytes[0]);
 }
 
 std::optional<MessageType> try_peek_type(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return std::nullopt;
   switch (static_cast<MessageType>(bytes[0])) {
-    case MessageType::FailureReportMsg:
     case MessageType::SensorData:
     case MessageType::TestCommand:
-    case MessageType::ReportEnvelopeMsg:
     case MessageType::Ack:
     case MessageType::Heartbeat:
     case MessageType::FleetSummaryEnvelopeMsg:
     case MessageType::Command:
     case MessageType::CommandEnvelopeMsg:
-    case MessageType::ReportBatchMsg:
     case MessageType::ReportBatchEnvelopeMsg:
       return static_cast<MessageType>(bytes[0]);
+    case MessageType::FailureReportMsg:  // retired numbers: never decoded
+    case MessageType::ReportEnvelopeMsg:
+    case MessageType::ReportBatchMsg:
+      break;
   }
   return std::nullopt;
-}
-
-std::vector<std::uint8_t> wrap(const FailureReport& r) {
-  std::vector<std::uint8_t> out;
-  out.push_back(static_cast<std::uint8_t>(MessageType::FailureReportMsg));
-  const std::vector<std::uint8_t> body = serialize(r);
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
 }
 
 std::vector<std::uint8_t> wrap(const SensorDataMessage& m) {
@@ -126,17 +73,6 @@ std::vector<std::uint8_t> wrap(const TestCommandMessage& m) {
   w.u8(static_cast<std::uint8_t>(m.command));
   w.str(m.reason);
   return w.take();
-}
-
-std::vector<std::uint8_t> wrap(const ReportEnvelope& m) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageType::ReportEnvelopeMsg));
-  w.u64(m.dc.value());
-  w.u64(m.sequence);
-  const std::vector<std::uint8_t> body = serialize(m.report);
-  std::vector<std::uint8_t> out = w.take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
 }
 
 std::vector<std::uint8_t> wrap(const AckMessage& m) {
@@ -219,70 +155,52 @@ std::vector<std::uint8_t> wrap(const CommandEnvelope& m) {
   return out;
 }
 
-std::vector<std::uint8_t> wrap_batch(DcId dc,
-                                     std::span<const FailureReport> reports) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(MessageType::ReportBatchMsg));
-  append_batch_body(w, dc, reports);
-  return w.take();
-}
-
 std::vector<std::uint8_t> wrap_batch_envelope(
     DcId dc, std::uint64_t sequence, std::span<const FailureReport> reports) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::ReportBatchEnvelopeMsg));
   w.u64(dc.value());
   w.u64(sequence);
-  append_batch_body(w, dc, reports);
+  // Batch body: magic, version, source DC, report count, then that many
+  // report frames back to back (each a full magic+version report encoding,
+  // so a frame-level version bump never needs a batch version bump).
+  w.u16(kBatchMagic);
+  w.u8(kBatchVersion);
+  w.u64(dc.value());
+  w.u32(static_cast<std::uint32_t>(reports.size()));
+  for (const FailureReport& r : reports) serialize_report_into(w, r);
   return w.take();
 }
 
 std::optional<ReportBatchView> try_unwrap_reports_into(
     std::span<const std::uint8_t> bytes, std::vector<ReportEnvelope>& arena) {
-  const auto type = try_peek_type(bytes);
-  if (!type.has_value()) return std::nullopt;
-  switch (*type) {
-    case MessageType::FailureReportMsg: {
-      // A lone unsequenced report is a one-element batch from its own DC.
-      if (arena.empty()) arena.resize(1);
-      TryReader rd(bytes.subspan(1));
-      ReportEnvelope& slot = arena.front();
-      if (!try_read_report_frame(rd, slot.report) || !rd.done()) {
-        return std::nullopt;
-      }
-      slot.dc = slot.report.dc;
-      slot.sequence = 0;
-      return ReportBatchView{slot.dc, 0, 1};
-    }
-    case MessageType::ReportEnvelopeMsg: {
-      TryReader hdr(bytes.subspan(1));
-      const DcId dc{hdr.u64()};
-      const std::uint64_t sequence = hdr.u64();
-      if (!hdr.ok() || sequence == 0) return std::nullopt;
-      if (arena.empty()) arena.resize(1);
-      TryReader rd(bytes.subspan(1 + 16));  // past dc + sequence
-      ReportEnvelope& slot = arena.front();
-      if (!try_read_report_frame(rd, slot.report) || !rd.done()) {
-        return std::nullopt;
-      }
-      slot.dc = dc;
-      slot.sequence = sequence;
-      return ReportBatchView{dc, sequence, 1};
-    }
-    case MessageType::ReportBatchMsg:
-      return try_read_batch_body(bytes.subspan(1), /*sequence=*/0, arena);
-    case MessageType::ReportBatchEnvelopeMsg: {
-      TryReader hdr(bytes.subspan(1));
-      const DcId dc{hdr.u64()};
-      const std::uint64_t sequence = hdr.u64();
-      if (!hdr.ok() || sequence == 0) return std::nullopt;
-      auto view = try_read_batch_body(bytes.subspan(1 + 16), sequence, arena);
-      if (!view.has_value() || view->dc != dc) return std::nullopt;
-      return view;
-    }
-    default:
-      return std::nullopt;
+  if (try_peek_type(bytes) != MessageType::ReportBatchEnvelopeMsg) {
+    return std::nullopt;
   }
+  TryReader rd(bytes.subspan(1));
+  ReportBatchView view;
+  view.dc = DcId(rd.u64());
+  view.sequence = rd.u64();
+  if (!rd.ok() || view.sequence == 0) return std::nullopt;
+  if (rd.u16() != kBatchMagic) return std::nullopt;
+  const std::uint8_t version = rd.u8();
+  if (!rd.ok() || version < 1 || version > kBatchVersion) return std::nullopt;
+  if (DcId(rd.u64()) != view.dc) return std::nullopt;  // body vs header
+  const std::uint32_t n = rd.u32();
+  // The smallest legal report frame is far above 64 bytes: reject counts
+  // the payload cannot hold before growing the arena.
+  if (!rd.ok() || n > rd.remaining() / 64) return std::nullopt;
+  if (arena.size() < n) arena.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ReportEnvelope& slot = arena[i];
+    if (!try_read_report_frame(rd, slot.report)) return std::nullopt;
+    if (slot.report.dc != view.dc) return std::nullopt;  // forged source
+    slot.dc = view.dc;
+    slot.sequence = view.sequence;
+  }
+  if (!rd.done()) return std::nullopt;
+  view.count = n;
+  return view;
 }
 
 std::optional<CommandMessage> try_unwrap_command(
@@ -306,14 +224,6 @@ std::optional<CommandEnvelope> try_unwrap_command_envelope(
   if (!command.has_value()) return std::nullopt;
   m.command = *std::move(command);
   return m;
-}
-
-std::optional<FailureReport> try_unwrap_report(
-    std::span<const std::uint8_t> bytes) {
-  if (try_peek_type(bytes) != MessageType::FailureReportMsg) {
-    return std::nullopt;
-  }
-  return try_deserialize_report(bytes.subspan(1));
 }
 
 std::optional<SensorDataMessage> try_unwrap_sensor_data(
@@ -356,23 +266,6 @@ std::optional<TestCommandMessage> try_unwrap_test_command(
   return m;
 }
 
-std::optional<ReportEnvelope> try_unwrap_envelope(
-    std::span<const std::uint8_t> bytes) {
-  if (try_peek_type(bytes) != MessageType::ReportEnvelopeMsg) {
-    return std::nullopt;
-  }
-  TryReader r(bytes.subspan(1));
-  ReportEnvelope m;
-  m.dc = DcId(r.u64());
-  m.sequence = r.u64();
-  if (!r.ok() || m.sequence == 0) return std::nullopt;
-  auto report =
-      try_deserialize_report(bytes.subspan(1 + 16));  // past dc + sequence
-  if (!report.has_value()) return std::nullopt;
-  m.report = *std::move(report);
-  return m;
-}
-
 std::optional<AckMessage> try_unwrap_ack(std::span<const std::uint8_t> bytes) {
   if (try_peek_type(bytes) != MessageType::Ack) return std::nullopt;
   TryReader r(bytes.subspan(1));
@@ -393,23 +286,6 @@ std::optional<HeartbeatMessage> try_unwrap_heartbeat(
   m.last_sequence = r.u64();
   if (!r.ok() || !r.done()) return std::nullopt;
   return m;
-}
-
-FailureReport unwrap_report(std::span<const std::uint8_t> bytes) {
-  MPROS_EXPECTS(peek_type(bytes) == MessageType::FailureReportMsg);
-  return deserialize_report(bytes.subspan(1));
-}
-
-SensorDataMessage unwrap_sensor_data(std::span<const std::uint8_t> bytes) {
-  auto m = try_unwrap_sensor_data(bytes);
-  MPROS_EXPECTS(m.has_value());
-  return *std::move(m);
-}
-
-TestCommandMessage unwrap_test_command(std::span<const std::uint8_t> bytes) {
-  auto m = try_unwrap_test_command(bytes);
-  MPROS_EXPECTS(m.has_value());
-  return *std::move(m);
 }
 
 }  // namespace mpros::net

@@ -52,15 +52,11 @@ class ReliableSender {
   ReliableSender(const ReliableSender&) = delete;
   ReliableSender& operator=(const ReliableSender&) = delete;
 
-  /// Assign the next sequence to `report`, buffer the envelope for
-  /// retransmission, and return its wire payload for immediate send.
-  [[nodiscard]] std::vector<std::uint8_t> envelope(const FailureReport& report,
-                                                   SimTime now);
-
-  /// Batch overload: seal one sync window's reports under ONE sequence
-  /// number (ReportBatchEnvelopeMsg). The whole window acks, gaps, and
-  /// retransmits as a unit — per-datagram stream arithmetic is unchanged,
-  /// each datagram just carries more reports.
+  /// Seal one sync window's reports under the next sequence number
+  /// (ReportBatchEnvelopeMsg; a single report is a one-element span),
+  /// buffer the datagram for retransmission, and return its wire payload
+  /// for immediate send. The whole window acks, gaps, and retransmits as a
+  /// unit.
   [[nodiscard]] std::vector<std::uint8_t> envelope(
       std::span<const FailureReport> reports, SimTime now);
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <span>
 
-#include "mpros/common/assert.hpp"
 #include "mpros/net/codec.hpp"
 
 namespace mpros::net {
@@ -88,12 +87,6 @@ std::optional<FailureReport> try_deserialize_report(
   FailureReport r;
   if (!try_read_report_frame(rd, r) || !rd.done()) return std::nullopt;
   return r;
-}
-
-FailureReport deserialize_report(std::span<const std::uint8_t> bytes) {
-  auto r = try_deserialize_report(bytes);
-  MPROS_EXPECTS(r.has_value());
-  return *std::move(r);
 }
 
 std::string summarize(const FailureReport& r) {

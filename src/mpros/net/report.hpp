@@ -55,10 +55,8 @@ struct FailureReport {
 class Writer;
 class TryReader;
 
-/// Wire encoding (versioned; v2 adds the trace id, v1 still decodes).
+/// One report frame (versioned; v2 adds the trace id, v1 still decodes).
 [[nodiscard]] std::vector<std::uint8_t> serialize(const FailureReport& r);
-[[nodiscard]] FailureReport deserialize_report(
-    std::span<const std::uint8_t> bytes);
 
 /// Appends one report frame (magic + version + fields) to `w`. A batch body
 /// is a count of these frames back to back; serialize() is the one-frame
@@ -72,9 +70,9 @@ void serialize_report_into(Writer& w, const FailureReport& r);
 /// magic/version, truncation, or a hostile prognostic count.
 bool try_read_report_frame(TryReader& rd, FailureReport& out);
 
-/// Fail-soft decode for untrusted bytes (recorder frames, replay): returns
-/// nullopt on truncation, bad magic/version, or trailing garbage — never
-/// aborts.
+/// Fail-soft decode of exactly one report frame (the inverse of
+/// serialize()): returns nullopt on truncation, bad magic/version, or
+/// trailing garbage — never aborts.
 [[nodiscard]] std::optional<FailureReport> try_deserialize_report(
     std::span<const std::uint8_t> bytes);
 

@@ -469,12 +469,8 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
           return;
         }
         switch (*type) {
-          // All four report-bearing shapes — bare report, reliable
-          // envelope, bare batch, reliable batch envelope — decode through
-          // the one arena-based unwrapper and funnel into submit().
-          case net::MessageType::FailureReportMsg:
-          case net::MessageType::ReportEnvelopeMsg:
-          case net::MessageType::ReportBatchMsg:
+          // The one report datagram: a sequenced batch, decoded into the
+          // arena and funnelled into submit().
           case net::MessageType::ReportBatchEnvelopeMsg: {
             const auto view =
                 net::try_unwrap_reports_into(message.payload, decode_arena_);
@@ -483,18 +479,10 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
               metrics.malformed_dropped.inc();
               return;
             }
-            if (*type == net::MessageType::ReportBatchMsg ||
-                *type == net::MessageType::ReportBatchEnvelopeMsg) {
-              ++stats_.batches_received;
-              stats_.batched_reports += view->count;
-            }
             note_dc_alive(view->dc, message.delivered_at);
             const std::span<const net::ReportEnvelope> reports(
                 decode_arena_.data(), view->count);
-            const bool duplicate_datagram =
-                view->sequence != 0 &&
-                receiver_.is_duplicate(view->dc, view->sequence);
-            if (!duplicate_datagram) {
+            if (!receiver_.is_duplicate(view->dc, view->sequence)) {
               for (const net::ReportEnvelope& env : reports) {
                 telemetry::StageTimer transit("net.transit",
                                               env.report.trace,
@@ -507,15 +495,13 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
               }
             }
             submit(reports);
-            if (view->sequence != 0 && network_ != nullptr) {
-              // Ack fresh and duplicate datagrams alike — a retransmission
-              // may mean our previous ack was the datagram that got lost.
-              network_->send(endpoint_name_,
-                             "dc-" + std::to_string(view->dc.value()),
-                             net::wrap(receiver_.make_ack(view->dc)),
-                             message.delivered_at);
-              ++stats_.acks_sent;
-            }
+            // Ack fresh and duplicate datagrams alike — a retransmission
+            // may mean our previous ack was the datagram that got lost.
+            network_->send(endpoint_name_,
+                           "dc-" + std::to_string(view->dc.value()),
+                           net::wrap(receiver_.make_ack(view->dc)),
+                           message.delivered_at);
+            ++stats_.acks_sent;
             break;
           }
           case net::MessageType::Heartbeat: {
@@ -556,11 +542,8 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
             }
             break;
           }
-          case net::MessageType::TestCommand:
-          case net::MessageType::Command:
-          case net::MessageType::CommandEnvelopeMsg:
-          case net::MessageType::FleetSummaryEnvelopeMsg:
-            break;  // these address DCs or the shore tier, not the PDME
+          default:
+            break;  // commands and fleet summaries address DCs or the shore
         }
       });
 }

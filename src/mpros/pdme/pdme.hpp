@@ -66,14 +66,15 @@ class PdmeExecutive {
     std::optional<ObjectId> last_object;
   };
 
-  /// THE ingest entry point: every report path — single report, reliable
-  /// envelope, decoded ReportBatch, wire adapter — funnels through here.
-  /// Each contiguous run sharing a nonzero (dc, sequence) is one sequenced
-  /// datagram: a duplicate run is dropped whole (the retransmitted batch
-  /// was already fused), a fresh run is ingested and commits exactly one
-  /// sequence number on the DC's reliable stream. Elements with
-  /// sequence == 0 are unsequenced bare reports. Acks are the wire
-  /// adapter's job — submit() itself never touches the network.
+  /// THE ingest entry point: every report path — the wire adapter's decoded
+  /// ReportBatch, in-process posts (accept(), replay, tests) — funnels
+  /// through here. Each contiguous run sharing a nonzero (dc, sequence) is
+  /// one sequenced datagram: a duplicate run is dropped whole (the
+  /// retransmitted batch was already fused), a fresh run is ingested and
+  /// commits exactly one sequence number on the DC's report stream.
+  /// Elements with sequence == 0 are in-process posts with no stream
+  /// state. Acks are the wire adapter's job — submit() itself never
+  /// touches the network.
   SubmitOutcome submit(std::span<const net::ReportEnvelope> reports);
 
   /// Step 1 of §5.1: post a report into the OOSM (and let the event chain
@@ -189,10 +190,6 @@ class PdmeExecutive {
     /// Sequenced datagrams dropped whole as retransmissions (each may have
     /// carried many reports — those land in duplicates_dropped).
     std::uint64_t duplicate_envelopes = 0;
-    /// ReportBatch datagrams decoded off the wire, and the reports they
-    /// carried (batched_reports / batches_received = realized batch size).
-    std::uint64_t batches_received = 0;
-    std::uint64_t batched_reports = 0;
     std::uint64_t acks_sent = 0;
     std::uint64_t gaps_detected = 0;
     std::uint64_t heartbeats_received = 0;
@@ -257,7 +254,7 @@ class PdmeExecutive {
   bool posting_ = false;  // re-entrancy guard while we create objects
 
   FusionCore core_;
-  /// Wire-decode arena: batch datagrams decode into this vector, reusing
+  /// Wire-decode arena: report datagrams decode into this vector, reusing
   /// its slots (and their strings/vectors) across datagrams so steady-state
   /// ingest performs no per-report allocation in the decoder.
   std::vector<net::ReportEnvelope> decode_arena_;

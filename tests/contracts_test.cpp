@@ -110,13 +110,6 @@ TEST(ContractsDeathTest, SbfrStepRequiresDeclaredChannelCount) {
   EXPECT_DEATH(sys.step(one_channel), "precondition");
 }
 
-TEST(ContractsDeathTest, ReaderRejectsTruncatedReport) {
-  const auto bytes = net::serialize(net::FailureReport{});
-  const std::span<const std::uint8_t> truncated(bytes.data(),
-                                                bytes.size() - 3);
-  EXPECT_DEATH(net::deserialize_report(truncated), "precondition");
-}
-
 // --- Concurrency stress -------------------------------------------------------
 
 TEST(ConcurrencyStressTest, NetworkSurvivesParallelSenders) {

@@ -345,21 +345,32 @@ TEST_F(DataConcentratorTest, SensorRecoveryEmitsAllClear) {
 TEST_F(DataConcentratorTest, HeartbeatsAccumulateInWireOutbox) {
   DcConfig cfg = dc_config();
   cfg.heartbeat_period = SimTime::from_seconds(60.0);
-  cfg.desync_phase = false;  // pin the beat grid; phasing has its own test
   DataConcentrator dc(cfg, refs_, chiller_);
-  (void)dc.advance_to(SimTime::from_seconds(600));
+  const SimTime end = SimTime::from_seconds(600);
+  (void)dc.advance_to(end);
+
+  // Beats land on dc-7's phased grid: phase + k * period for k >= 1, the
+  // heartbeat stream's phase seeded by (id << 1) | 1.
+  const SimTime phase =
+      net::desync_phase((7 << 1) | 1, cfg.heartbeat_period);
+  std::vector<SimTime> grid;
+  for (SimTime t = phase + cfg.heartbeat_period; t <= end;
+       t += cfg.heartbeat_period) {
+    grid.push_back(t);
+  }
+  ASSERT_GE(grid.size(), 9u);
 
   auto wire = dc.drain_wire_outbox();
-  EXPECT_EQ(dc.stats().heartbeats_sent, 10u);
-  std::size_t heartbeats = 0;
+  EXPECT_EQ(dc.stats().heartbeats_sent, grid.size());
+  std::vector<SimTime> beats;
   for (const auto& dgram : wire) {
     const auto hb = net::try_unwrap_heartbeat(dgram.payload);
     if (!hb.has_value()) continue;
-    ++heartbeats;
     EXPECT_EQ(hb->dc, DcId(7));
     EXPECT_EQ(hb->timestamp, dgram.at);
+    beats.push_back(hb->timestamp);
   }
-  EXPECT_EQ(heartbeats, 10u);
+  EXPECT_EQ(beats, grid);
   EXPECT_TRUE(dc.drain_wire_outbox().empty());  // drained
 }
 

@@ -30,7 +30,7 @@ TEST(CodecTest, PrimitivesRoundTrip) {
   w.str("hello");
   w.str("");
 
-  Reader r(w.bytes());
+  TryReader r(w.bytes());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
@@ -39,6 +39,7 @@ TEST(CodecTest, PrimitivesRoundTrip) {
   EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
   EXPECT_EQ(r.str(), "hello");
   EXPECT_EQ(r.str(), "");
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.done());
 }
 
@@ -58,11 +59,14 @@ FailureReport sample_report() {
   return r;
 }
 
+/// One report as the one-element span a report datagram carries.
+std::span<const FailureReport> one(const FailureReport& r) { return {&r, 1}; }
+
 TEST(ReportProtocolTest, SerializeDeserializeRoundTrip) {
   const FailureReport original = sample_report();
-  const auto bytes = serialize(original);
-  const FailureReport decoded = deserialize_report(bytes);
-  EXPECT_EQ(decoded, original);
+  const auto decoded = try_deserialize_report(serialize(original));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(*decoded, original);
 }
 
 TEST(ReportProtocolTest, EmptyOptionalFieldsAllowed) {
@@ -73,7 +77,7 @@ TEST(ReportProtocolTest, EmptyOptionalFieldsAllowed) {
   r.recommendations.clear();
   r.additional_info.clear();
   r.prognostics.clear();
-  EXPECT_EQ(deserialize_report(serialize(r)), r);
+  EXPECT_EQ(try_deserialize_report(serialize(r)), r);
 }
 
 TEST(ReportProtocolTest, SummaryIsOneLine) {
@@ -191,9 +195,9 @@ TEST(SimNetworkTest, InFlightCountsQueued) {
 
 TEST(SimNetworkTest, ReportSurvivesTransportIntact) {
   SimNetwork net(quiet_config());
-  FailureReport received;
+  std::optional<FailureReport> received;
   net.register_endpoint("pdme", [&](const Message& m) {
-    received = deserialize_report(m.payload);
+    received = try_deserialize_report(m.payload);
   });
   const FailureReport sent = sample_report();
   net.send("dc-3", "pdme", serialize(sent), SimTime(0));
@@ -209,7 +213,9 @@ TEST(SimNetworkTest, ReportSurvivesTransportIntact) {
 TEST(FuzzDecodeTest, TraceRidesTheWire) {
   FailureReport r = sample_report();
   r.trace = 0xFEEDFACEull;
-  EXPECT_EQ(deserialize_report(serialize(r)).trace, 0xFEEDFACEull);
+  const auto decoded = try_deserialize_report(serialize(r));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->trace, 0xFEEDFACEull);
 }
 
 TEST(FuzzDecodeTest, VersionOneReportStillDecodes) {
@@ -280,6 +286,7 @@ TEST(FuzzDecodeTest, HugePrognosticCountRejectedBeforeAllocation) {
 
 TEST(FuzzDecodeTest, RandomBuffersNeverCrash) {
   Rng rng(0xF422);
+  std::vector<ReportEnvelope> arena;
   for (int round = 0; round < 2000; ++round) {
     std::vector<std::uint8_t> junk(rng.integer(0, 255));
     for (auto& b : junk) {
@@ -287,7 +294,7 @@ TEST(FuzzDecodeTest, RandomBuffersNeverCrash) {
     }
     (void)try_peek_type(junk);
     (void)try_deserialize_report(junk);
-    (void)try_unwrap_report(junk);
+    (void)try_unwrap_reports_into(junk, arena);
     (void)try_unwrap_sensor_data(junk);
     (void)try_unwrap_test_command(junk);
     (void)telemetry::FlightRecorder::decode(junk);
@@ -295,11 +302,12 @@ TEST(FuzzDecodeTest, RandomBuffersNeverCrash) {
 }
 
 TEST(FuzzDecodeTest, WrongEnvelopeTypeReturnsNullopt) {
-  const auto wrapped = wrap(sample_report());
-  ASSERT_EQ(try_peek_type(wrapped), MessageType::FailureReportMsg);
+  const auto wrapped = wrap_batch_envelope(DcId(3), 1, one(sample_report()));
+  ASSERT_EQ(try_peek_type(wrapped), MessageType::ReportBatchEnvelopeMsg);
   EXPECT_FALSE(try_unwrap_sensor_data(wrapped).has_value());
   EXPECT_FALSE(try_unwrap_test_command(wrapped).has_value());
-  EXPECT_TRUE(try_unwrap_report(wrapped).has_value());
+  std::vector<ReportEnvelope> arena;
+  EXPECT_TRUE(try_unwrap_reports_into(wrapped, arena).has_value());
 }
 
 TEST(FuzzDecodeTest, RecorderDumpTruncationAndCorruption) {
@@ -409,10 +417,15 @@ TEST(OutageTest, DeterministicGivenSeedWithOutages) {
 // --- Reliable delivery -------------------------------------------------------
 
 TEST(ReliableProtocolTest, EnvelopeAckHeartbeatRoundTripOnTheWire) {
-  ReportEnvelope env{DcId(4), 9, sample_report()};
-  const auto env_back = try_unwrap_envelope(wrap(env));
-  ASSERT_TRUE(env_back.has_value());
-  EXPECT_EQ(*env_back, env);
+  ReliableSender sender(DcId(3));  // sample_report()'s DC
+  const auto payload = sender.envelope(one(sample_report()), SimTime(0));
+  std::vector<ReportEnvelope> arena;
+  const auto view = try_unwrap_reports_into(payload, arena);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->dc, DcId(3));
+  EXPECT_EQ(view->sequence, 1u);
+  ASSERT_EQ(view->count, 1u);
+  EXPECT_EQ(arena.front(), (ReportEnvelope{DcId(3), 1, sample_report()}));
 
   AckMessage ack{DcId(4), 9};
   const auto ack_back = try_unwrap_ack(wrap(ack));
@@ -425,25 +438,27 @@ TEST(ReliableProtocolTest, EnvelopeAckHeartbeatRoundTripOnTheWire) {
   EXPECT_EQ(*hb_back, hb);
 
   // Cross-type unwraps fail soft, never throw.
-  EXPECT_FALSE(try_unwrap_ack(wrap(env)).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wrap(hb)).has_value());
+  EXPECT_FALSE(try_unwrap_ack(payload).has_value());
+  EXPECT_FALSE(try_unwrap_reports_into(wrap(hb), arena).has_value());
 }
 
 TEST(ReliableChannelTest, AckRetiresBufferedEnvelopes) {
   ReliableSender sender(DcId(3));
   ReliableReceiver receiver;
 
-  const auto payload = sender.envelope(sample_report(), SimTime(0));
+  const auto payload = sender.envelope(one(sample_report()), SimTime(0));
   EXPECT_EQ(sender.unacked(), 1u);
   EXPECT_EQ(sender.last_sequence(), 1u);
 
-  const auto env = try_unwrap_envelope(payload);
-  ASSERT_TRUE(env.has_value());
-  EXPECT_EQ(env->dc, DcId(3));
-  EXPECT_EQ(env->sequence, 1u);
-  EXPECT_EQ(env->report, sample_report());
+  std::vector<ReportEnvelope> arena;
+  const auto view = try_unwrap_reports_into(payload, arena);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->dc, DcId(3));
+  EXPECT_EQ(view->sequence, 1u);
+  ASSERT_EQ(view->count, 1u);
+  EXPECT_EQ(arena.front().report, sample_report());
 
-  const auto outcome = receiver.on_envelope(env->dc, env->sequence);
+  const auto outcome = receiver.on_envelope(view->dc, view->sequence);
   EXPECT_FALSE(outcome.duplicate);
   EXPECT_EQ(outcome.new_gaps, 0u);
   EXPECT_EQ(outcome.ack.cumulative, 1u);
@@ -453,17 +468,18 @@ TEST(ReliableChannelTest, AckRetiresBufferedEnvelopes) {
   EXPECT_TRUE(sender.due_retransmits(SimTime::from_hours(10.0)).empty());
 }
 
-TEST(ReliableChannelTest, DeprecatedStatsShimsEqualSnapshots) {
+TEST(ReliableChannelTest, SnapshotsCountEnvelopesDuplicatesAndAcks) {
   // snapshot() is the counter accessor; it reflects every envelope,
   // duplicate and ack.
-  ReliableSender sender(DcId(5));
+  ReliableSender sender(DcId(3));
   ReliableReceiver receiver;
 
-  const auto payload = sender.envelope(sample_report(), SimTime(0));
-  const auto env = try_unwrap_envelope(payload);
-  ASSERT_TRUE(env.has_value());
-  const auto outcome = receiver.on_envelope(env->dc, env->sequence);
-  (void)receiver.on_envelope(env->dc, env->sequence);  // a duplicate too
+  const auto payload = sender.envelope(one(sample_report()), SimTime(0));
+  std::vector<ReportEnvelope> arena;
+  const auto view = try_unwrap_reports_into(payload, arena);
+  ASSERT_TRUE(view.has_value());
+  const auto outcome = receiver.on_envelope(view->dc, view->sequence);
+  (void)receiver.on_envelope(view->dc, view->sequence);  // a duplicate too
   sender.on_ack(outcome.ack);
 
   EXPECT_EQ(sender.snapshot().enveloped, 1u);
@@ -510,7 +526,7 @@ TEST(ReliableChannelTest, RetransmitTimersBackOffExponentially) {
   cfg.backoff = 2.0;
   cfg.max_rto = SimTime::from_seconds(40.0);
   ReliableSender sender(DcId(1), cfg);
-  (void)sender.envelope(sample_report(), SimTime(0));
+  (void)sender.envelope(one(sample_report()), SimTime(0));
 
   EXPECT_TRUE(sender.due_retransmits(SimTime::from_seconds(9.0)).empty());
   EXPECT_EQ(sender.due_retransmits(SimTime::from_seconds(10.0)).size(), 1u);
@@ -525,7 +541,7 @@ TEST(ReliableChannelTest, BufferOverflowEvictsOldest) {
   cfg.buffer_limit = 4;
   ReliableSender sender(DcId(1), cfg);
   for (int i = 0; i < 6; ++i) {
-    (void)sender.envelope(sample_report(), SimTime(0));
+    (void)sender.envelope(one(sample_report()), SimTime(0));
   }
   EXPECT_EQ(sender.unacked(), 4u);
   EXPECT_EQ(sender.snapshot().overflow_dropped, 2u);
@@ -559,8 +575,8 @@ TEST(ReliableChannelTest, RetransmitDebtObservableInTelemetry) {
   cfg.max_rto = SimTime::from_seconds(40.0);
   {
     ReliableSender sender(DcId(91), cfg);
-    (void)sender.envelope(sample_report(), SimTime(0));
-    (void)sender.envelope(sample_report(), SimTime(0));
+    (void)sender.envelope(one(sample_report()), SimTime(0));
+    (void)sender.envelope(one(sample_report()), SimTime(0));
     EXPECT_DOUBLE_EQ(inflight.value(), g0 + 2);
 
     // RTO walks 10 -> 20 -> 40 (ceiling, counted once per entry) -> 40.
@@ -686,10 +702,12 @@ TEST(FuzzDecodeTest, FleetSummaryHugeMachineCountRejectedBeforeAllocation) {
 }
 
 TEST(FuzzDecodeTest, FleetEnvelopeWrongTypeReturnsNullopt) {
-  EXPECT_FALSE(try_unwrap_fleet_envelope(wrap(sample_report())).has_value());
+  EXPECT_FALSE(try_unwrap_fleet_envelope(
+                   wrap_batch_envelope(DcId(3), 1, one(sample_report())))
+                   .has_value());
   const auto wire = wrap(FleetSummaryEnvelope{ShipId(7), 3, sample_summary()});
-  EXPECT_FALSE(try_unwrap_report(wire).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wire).has_value());
+  std::vector<ReportEnvelope> arena;
+  EXPECT_FALSE(try_unwrap_reports_into(wire, arena).has_value());
   EXPECT_FALSE(try_unwrap_ack(wire).has_value());
 }
 
@@ -798,12 +816,14 @@ TEST(FuzzDecodeTest, CommandHugeSettingsCountRejectedBeforeAllocation) {
 }
 
 TEST(FuzzDecodeTest, CommandWrongTypeReturnsNullopt) {
-  EXPECT_FALSE(try_unwrap_command(wrap(sample_report())).has_value());
+  EXPECT_FALSE(try_unwrap_command(
+                   wrap_batch_envelope(DcId(3), 1, one(sample_report())))
+                   .has_value());
   EXPECT_FALSE(try_unwrap_command_envelope(wrap(sample_command())).has_value());
   const auto wire = wrap(CommandEnvelope{DcId(3), 5, sample_command()});
   EXPECT_FALSE(try_unwrap_command(wire).has_value());
-  EXPECT_FALSE(try_unwrap_report(wire).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wire).has_value());
+  std::vector<ReportEnvelope> arena;
+  EXPECT_FALSE(try_unwrap_reports_into(wire, arena).has_value());
   EXPECT_FALSE(try_unwrap_ack(wire).has_value());
   EXPECT_FALSE(try_unwrap_test_command(wire).has_value());
 }
@@ -866,9 +886,8 @@ TEST(FuzzDecodeTest, TestCommandSurvivesRandomBuffers) {
 }
 
 // ---------------------------------------------------------------------------
-// ReportBatch wire protocol (E21 batched ingest): wrap_batch /
-// wrap_batch_envelope + the unified arena decoder, mirrored on the
-// CommandMessage suites above.
+// ReportBatch wire protocol (E21 batched ingest): wrap_batch_envelope + the
+// arena decoder, mirrored on the CommandMessage suites above.
 
 std::vector<FailureReport> sample_batch_reports() {
   std::vector<FailureReport> reports;
@@ -881,24 +900,6 @@ std::vector<FailureReport> sample_batch_reports() {
     reports.push_back(std::move(r));
   }
   return reports;
-}
-
-TEST(BatchProtocolTest, BareWireRoundTrip) {
-  const auto reports = sample_batch_reports();
-  const auto wire = wrap_batch(DcId(3), reports);
-  ASSERT_EQ(try_peek_type(wire), MessageType::ReportBatchMsg);
-
-  std::vector<ReportEnvelope> arena;
-  const auto view = try_unwrap_reports_into(wire, arena);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->dc, DcId(3));
-  EXPECT_EQ(view->sequence, 0u);
-  ASSERT_EQ(view->count, reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    EXPECT_EQ(arena[i].report, reports[i]);
-    EXPECT_EQ(arena[i].dc, DcId(3));
-    EXPECT_EQ(arena[i].sequence, 0u);
-  }
 }
 
 TEST(BatchProtocolTest, SequencedWireRoundTrip) {
@@ -921,7 +922,7 @@ TEST(BatchProtocolTest, SequencedWireRoundTrip) {
 TEST(BatchProtocolTest, EmptyBatchAllowed) {
   std::vector<ReportEnvelope> arena;
   const auto view =
-      try_unwrap_reports_into(wrap_batch(DcId(2), {}), arena);
+      try_unwrap_reports_into(wrap_batch_envelope(DcId(2), 1, {}), arena);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->dc, DcId(2));
   EXPECT_EQ(view->count, 0u);
@@ -933,6 +934,44 @@ TEST(BatchProtocolTest, ZeroSequenceEnvelopeRejected) {
   EXPECT_FALSE(try_unwrap_reports_into(wire, arena).has_value());
 }
 
+/// A retired report type byte in front of a well-formed body of the shape
+/// it used to carry: 1 = one report frame, 4 = dc + sequence + one report
+/// frame, 10 = an unsequenced batch body.
+std::vector<std::uint8_t> retired_datagram(MessageType type,
+                                           const FailureReport& r) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  if (type == MessageType::ReportEnvelopeMsg) {
+    w.u64(r.dc.value());
+    w.u64(1);
+  }
+  std::vector<std::uint8_t> out = w.take();
+  // The batch body is what follows the type byte, dc and sequence of the
+  // live datagram.
+  const auto body = type == MessageType::ReportBatchMsg
+                        ? wrap_batch_envelope(r.dc, 1, one(r))
+                        : serialize(r);
+  const std::size_t skip = type == MessageType::ReportBatchMsg ? 17 : 0;
+  out.insert(out.end(), body.begin() + static_cast<std::ptrdiff_t>(skip),
+             body.end());
+  return out;
+}
+
+TEST(BatchProtocolTest, RetiredReportTypesNeverDecode) {
+  std::vector<ReportEnvelope> arena;
+  for (const MessageType type :
+       {MessageType::FailureReportMsg, MessageType::ReportEnvelopeMsg,
+        MessageType::ReportBatchMsg}) {
+    const auto wire = retired_datagram(type, sample_report());
+    EXPECT_FALSE(try_peek_type(wire).has_value())
+        << "type " << static_cast<int>(type);
+    EXPECT_FALSE(try_unwrap_reports_into(wire, arena).has_value())
+        << "type " << static_cast<int>(type);
+    EXPECT_STREQ(to_string(type), "?");
+  }
+  EXPECT_TRUE(arena.empty());
+}
+
 TEST(BatchProtocolTest, ForgedSourceDcRejected) {
   // A frame claiming a DC other than the batch header's is a forgery: the
   // whole datagram fails, not just the one frame.
@@ -940,33 +979,15 @@ TEST(BatchProtocolTest, ForgedSourceDcRejected) {
   reports[1].dc = DcId(4);
   std::vector<ReportEnvelope> arena;
   EXPECT_FALSE(
-      try_unwrap_reports_into(wrap_batch(DcId(3), reports), arena)
+      try_unwrap_reports_into(wrap_batch_envelope(DcId(3), 1, reports), arena)
           .has_value());
-}
-
-TEST(BatchProtocolTest, SingletonWireFormsDecodeAsOneElementBatches) {
-  const FailureReport r = sample_report();
-  std::vector<ReportEnvelope> arena;
-
-  const auto bare = try_unwrap_reports_into(wrap(r), arena);
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->count, 1u);
-  EXPECT_EQ(bare->sequence, 0u);
-  EXPECT_EQ(arena.front().report, r);
-
-  const ReportEnvelope env{r.dc, 9, r};
-  const auto sequenced = try_unwrap_reports_into(wrap(env), arena);
-  ASSERT_TRUE(sequenced.has_value());
-  EXPECT_EQ(sequenced->count, 1u);
-  EXPECT_EQ(sequenced->sequence, 9u);
-  EXPECT_EQ(arena.front().report, r);
 }
 
 TEST(BatchProtocolTest, ArenaOnlyGrowsAcrossDecodes) {
   const auto reports = sample_batch_reports();
   std::vector<ReportEnvelope> arena;
   ASSERT_TRUE(
-      try_unwrap_reports_into(wrap_batch(DcId(3), reports), arena)
+      try_unwrap_reports_into(wrap_batch_envelope(DcId(3), 1, reports), arena)
           .has_value());
   const std::size_t high_water = arena.size();
   ASSERT_EQ(high_water, reports.size());
@@ -974,7 +995,7 @@ TEST(BatchProtocolTest, ArenaOnlyGrowsAcrossDecodes) {
   // A smaller batch decodes into the same slots: size never shrinks, and
   // only the returned prefix is meaningful.
   const auto one = try_unwrap_reports_into(
-      wrap_batch(DcId(3), std::span(reports.data(), 1)), arena);
+      wrap_batch_envelope(DcId(3), 2, std::span(reports.data(), 1)), arena);
   ASSERT_TRUE(one.has_value());
   EXPECT_EQ(one->count, 1u);
   EXPECT_EQ(arena.size(), high_water);
@@ -983,13 +1004,6 @@ TEST(BatchProtocolTest, ArenaOnlyGrowsAcrossDecodes) {
 
 TEST(FuzzDecodeTest, BatchEveryTruncationReturnsNullopt) {
   std::vector<ReportEnvelope> arena;
-  const auto bare = wrap_batch(DcId(3), sample_batch_reports());
-  for (std::size_t len = 0; len < bare.size(); ++len) {
-    EXPECT_FALSE(
-        try_unwrap_reports_into(std::span(bare.data(), len), arena)
-            .has_value())
-        << "bare prefix of " << len << " bytes decoded";
-  }
   const auto wire = wrap_batch_envelope(DcId(3), 7, sample_batch_reports());
   for (std::size_t len = 0; len < wire.size(); ++len) {
     EXPECT_FALSE(
@@ -1001,17 +1015,18 @@ TEST(FuzzDecodeTest, BatchEveryTruncationReturnsNullopt) {
 
 TEST(FuzzDecodeTest, BatchSingleByteCorruptionNeverCrashes) {
   std::vector<ReportEnvelope> arena;
-  const auto clean = wrap_batch(DcId(3), sample_batch_reports());
+  const auto clean = wrap_batch_envelope(DcId(3), 7, sample_batch_reports());
   for (std::size_t i = 0; i < clean.size(); ++i) {
     auto bytes = clean;
     bytes[i] ^= 0xFF;
     (void)try_unwrap_reports_into(bytes, arena);
   }
+  // Type byte, u64 dc, u64 sequence, then the u16 batch magic.
   auto bad_magic = clean;
-  bad_magic[1] ^= 0xFF;  // type byte, then the u16 batch magic
+  bad_magic[17] ^= 0xFF;
   EXPECT_FALSE(try_unwrap_reports_into(bad_magic, arena).has_value());
   auto bad_version = clean;
-  bad_version[3] = 0xEE;
+  bad_version[19] = 0xEE;
   EXPECT_FALSE(try_unwrap_reports_into(bad_version, arena).has_value());
 }
 
@@ -1019,7 +1034,7 @@ TEST(FuzzDecodeTest, BatchHugeCountRejectedBeforeAllocation) {
   // An empty batch's trailing u32 is the report count: saturate it and the
   // decoder must reject on the payload-capacity bound without ever growing
   // the arena.
-  auto bytes = wrap_batch(DcId(3), {});
+  auto bytes = wrap_batch_envelope(DcId(3), 1, {});
   for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) {
     bytes[i] = 0xFF;
   }
@@ -1035,10 +1050,9 @@ TEST(FuzzDecodeTest, BatchWrongTypeReturnsNullopt) {
   EXPECT_FALSE(
       try_unwrap_reports_into(wrap(sample_test_command()), arena)
           .has_value());
-  const auto wire = wrap_batch(DcId(3), sample_batch_reports());
+  const auto wire = wrap_batch_envelope(DcId(3), 1, sample_batch_reports());
   EXPECT_FALSE(try_unwrap_command(wire).has_value());
-  EXPECT_FALSE(try_unwrap_report(wire).has_value());
-  EXPECT_FALSE(try_unwrap_envelope(wire).has_value());
+  EXPECT_FALSE(try_unwrap_sensor_data(wire).has_value());
   EXPECT_FALSE(try_unwrap_ack(wire).has_value());
 }
 
@@ -1106,16 +1120,19 @@ TEST(ReliableChannelTest, PersistentOutageCapsBackoffThenDrains) {
   ReliableReceiver receiver;
 
   std::vector<AckMessage> acks;
+  std::vector<ReportEnvelope> arena;
   net.register_endpoint("pdme", [&](const Message& msg) {
-    const auto env = try_unwrap_envelope(msg.payload);
-    ASSERT_TRUE(env.has_value());
-    const auto out = receiver.on_envelope(env->dc, env->sequence);
+    const auto view = try_unwrap_reports_into(msg.payload, arena);
+    ASSERT_TRUE(view.has_value());
+    const auto out = receiver.on_envelope(view->dc, view->sequence);
     if (!out.duplicate) acks.push_back(out.ack);
   });
 
   // The link is down from the start until t=3600 s.
   net.schedule_outage({"pdme", SimTime(0), SimTime::from_seconds(3600.0), 1.0});
-  net.send("dc-5", "pdme", sender.envelope(sample_report(), SimTime(0)),
+  FailureReport report = sample_report();
+  report.dc = DcId(5);
+  net.send("dc-5", "pdme", sender.envelope(one(report), SimTime(0)),
            SimTime(0));
 
   // Sweep once a minute through the outage: RTO walks 60 -> 120 -> 240

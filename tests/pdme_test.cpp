@@ -8,6 +8,7 @@
 #include <string>
 
 #include "mpros/dc/data_concentrator.hpp"
+#include "mpros/net/codec.hpp"
 #include "mpros/oosm/ship_builder.hpp"
 #include "mpros/pdme/browser.hpp"
 #include "mpros/pdme/mimosa.hpp"
@@ -34,6 +35,29 @@ net::FailureReport make_report(ObjectId machine, FailureMode mode,
   r.explanation = "test report";
   r.prognostics = {{0.1, 7.0 * 86400.0}, {0.9, 60.0 * 86400.0}};
   return r;
+}
+
+/// A retired report type byte in front of a well-formed body of the shape
+/// it used to carry: 1 = one report frame, 4 = dc + sequence + one report
+/// frame, 10 = an unsequenced batch body.
+std::vector<std::uint8_t> retired_datagram(net::MessageType type,
+                                           const net::FailureReport& r) {
+  net::Writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  if (type == net::MessageType::ReportEnvelopeMsg) {
+    w.u64(r.dc.value());
+    w.u64(1);
+  }
+  std::vector<std::uint8_t> out = w.take();
+  // The batch body is what follows the type byte, dc and sequence of the
+  // live datagram.
+  const auto body = type == net::MessageType::ReportBatchMsg
+                        ? net::wrap_batch_envelope(r.dc, 1, {&r, 1})
+                        : net::serialize(r);
+  const std::size_t skip = type == net::MessageType::ReportBatchMsg ? 17 : 0;
+  out.insert(out.end(), body.begin() + static_cast<std::ptrdiff_t>(skip),
+             body.end());
+  return out;
 }
 
 class PdmeTest : public ::testing::Test {
@@ -201,12 +225,51 @@ TEST_F(PdmeTest, ConservativePrognosticDominates) {
 TEST_F(PdmeTest, NetworkAttachDeliversReports) {
   net::SimNetwork network;
   pdme_.attach_to_network(network);
-  network.send("dc-1", "pdme",
-               net::wrap(make_report(motor_, FailureMode::GearMeshWear, 0.5,
-                                     0.8)),
+  net::ReliableSender sender{DcId(1)};
+  network.register_endpoint("dc-1", [&](const net::Message& m) {
+    if (const auto ack = net::try_unwrap_ack(m.payload)) sender.on_ack(*ack);
+  });
+  const net::FailureReport r =
+      make_report(motor_, FailureMode::GearMeshWear, 0.5, 0.8);
+  network.send("dc-1", "pdme", sender.envelope({&r, 1}, SimTime(0)),
                SimTime(0));
   network.flush();
   EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
+  EXPECT_EQ(sender.unacked(), 0u);
+}
+
+TEST_F(PdmeTest, RetiredReportTypesCountedMalformedNotFusedNotAcked) {
+  // Type bytes 1, 4 and 10 once carried reports (bare report, sequenced
+  // report, bare batch). Each, in front of a well-formed body of its old
+  // shape, must now be dropped as malformed: nothing fused, nothing acked.
+  net::SimNetwork network;
+  pdme_.attach_to_network(network);
+  std::size_t to_dc = 0;
+  network.register_endpoint("dc-1",
+                            [&](const net::Message&) { ++to_dc; });
+  const net::FailureReport r =
+      make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8);
+  for (const net::MessageType type :
+       {net::MessageType::FailureReportMsg,
+        net::MessageType::ReportEnvelopeMsg,
+        net::MessageType::ReportBatchMsg}) {
+    network.send("dc-1", "pdme", retired_datagram(type, r), SimTime(0));
+  }
+  network.flush();
+  const auto stats = pdme_.snapshot();
+  EXPECT_EQ(stats.malformed_dropped, 3u);
+  EXPECT_EQ(stats.reports_accepted, 0u);
+  EXPECT_EQ(stats.envelopes_accepted, 0u);
+  EXPECT_EQ(stats.acks_sent, 0u);
+  EXPECT_EQ(to_dc, 0u);
+  EXPECT_TRUE(pdme_.prioritized_list(motor_).empty());
+
+  // The same report in the live form is fused and acked.
+  network.send("dc-1", "pdme", net::wrap_batch_envelope(r.dc, 1, {&r, 1}),
+               SimTime(0));
+  network.flush();
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 1u);
+  EXPECT_EQ(to_dc, 1u);
 }
 
 TEST_F(PdmeTest, ResetMachineForgets) {
@@ -368,12 +431,14 @@ TEST_F(PdmeTest, EnvelopeStreamGapsDetectedAckedAndHealed) {
   });
 
   net::ReliableSender sender{DcId(1)};
-  const auto p1 = sender.envelope(
-      make_report(motor_, FailureMode::MotorImbalance, 0.5, 0.8, 1, 100.0), SimTime(0));
-  const auto p2 = sender.envelope(
-      make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8, 1, 200.0), SimTime(0));
-  const auto p3 = sender.envelope(
-      make_report(motor_, FailureMode::MotorImbalance, 0.7, 0.8, 1, 300.0), SimTime(0));
+  const auto seal = [&](double severity, double t_seconds) {
+    const net::FailureReport r = make_report(
+        motor_, FailureMode::MotorImbalance, severity, 0.8, 1, t_seconds);
+    return sender.envelope({&r, 1}, SimTime(0));
+  };
+  const auto p1 = seal(0.5, 100.0);
+  const auto p2 = seal(0.6, 200.0);
+  const auto p3 = seal(0.7, 300.0);
 
   // Sequence 2 is lost in transit; 3's arrival exposes the gap.
   network.send("dc-1", "pdme", p1, SimTime::from_seconds(1));
