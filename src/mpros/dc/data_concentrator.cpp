@@ -102,6 +102,7 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
       validator_(cfg.sensor_validation),
       reliable_(cfg.id, cfg.reliable) {
   MPROS_EXPECTS(cfg_.window >= 256);
+  MPROS_EXPECTS(cfg_.heartbeat_period.micros() > 0);
   vib_buffer_.resize(cfg_.window);
   current_buffer_.resize(cfg_.current_window);
   setup_database();
@@ -132,6 +133,7 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
       wire_outbox_(std::move(salvage.wire_outbox)),
       stats_(salvage.stats) {
   MPROS_EXPECTS(cfg_.window >= 256);
+  MPROS_EXPECTS(cfg_.heartbeat_period.micros() > 0);
   vib_buffer_.resize(cfg_.window);
   current_buffer_.resize(cfg_.current_window);
   reliable_.restore(std::move(salvage.reliable));
@@ -179,21 +181,18 @@ void DataConcentrator::register_tasks(SimTime resume_at) {
           wire_outbox_.push_back(WireDatagram{now, std::move(payload)});
         }
       });
-  if (cfg_.heartbeat_period.micros() > 0) {
-    const SimTime phase = net::desync_phase((cfg_.id.value() << 1) | 1,
-                                            cfg_.heartbeat_period);
-    heartbeat_task_ = scheduler_.add_periodic(
-        "heartbeat", next_slot(resume_at, phase, cfg_.heartbeat_period),
-        cfg_.heartbeat_period, [this](SimTime now) {
-          net::HeartbeatMessage hb;
-          hb.dc = cfg_.id;
-          hb.timestamp = now;
-          hb.last_sequence = reliable_.last_sequence();
-          wire_outbox_.push_back(WireDatagram{now, net::wrap(hb)});
-          ++stats_.heartbeats_sent;
-        });
-    has_heartbeat_task_ = true;
-  }
+  const SimTime phase =
+      net::desync_phase((cfg_.id.value() << 1) | 1, cfg_.heartbeat_period);
+  heartbeat_task_ = scheduler_.add_periodic(
+      "heartbeat", next_slot(resume_at, phase, cfg_.heartbeat_period),
+      cfg_.heartbeat_period, [this](SimTime now) {
+        net::HeartbeatMessage hb;
+        hb.dc = cfg_.id;
+        hb.timestamp = now;
+        hb.last_sequence = reliable_.last_sequence();
+        wire_outbox_.push_back(WireDatagram{now, net::wrap(hb)});
+        ++stats_.heartbeats_sent;
+      });
 }
 
 void DataConcentrator::setup_database() {
@@ -438,9 +437,6 @@ bool DataConcentrator::apply_setting(std::string_view key, double value,
   } else if (key == "dc.enable_fuzzy") {
     ok = value == 0.0 || value == 1.0;
     if (ok) cfg_.enable_fuzzy = value != 0.0;
-  } else if (key == "dc.enable_sensor_validation") {
-    ok = value == 0.0 || value == 1.0;
-    if (ok) cfg_.enable_sensor_validation = value != 0.0;
   } else if (key == "dc.process_period_s") {
     ok = value > 0.0;
     if (ok) {
@@ -458,12 +454,10 @@ bool DataConcentrator::apply_setting(std::string_view key, double value,
       }
     }
   } else if (key == "dc.heartbeat_period_s") {
-    // Runtime retune only — a DC built without a heartbeat task cannot
-    // grow one (liveness policy is a commissioning decision).
-    ok = value > 0.0 && cfg_.heartbeat_period.micros() > 0;
+    ok = value > 0.0;
     if (ok) {
       cfg_.heartbeat_period = SimTime::from_seconds(value);
-      if (has_heartbeat_task_) {
+      if (scheduler_.task_count() > 0) {
         scheduler_.set_period(heartbeat_task_, cfg_.heartbeat_period);
       }
     }
@@ -471,7 +465,9 @@ bool DataConcentrator::apply_setting(std::string_view key, double value,
     ok = value > 0.0;
     if (ok) {
       cfg_.retransmit_sweep_period = SimTime::from_seconds(value);
-      scheduler_.set_period(sweep_task_, cfg_.retransmit_sweep_period);
+      if (scheduler_.task_count() > 0) {
+        scheduler_.set_period(sweep_task_, cfg_.retransmit_sweep_period);
+      }
     }
   } else {
     ok = false;
@@ -502,9 +498,6 @@ std::optional<double> DataConcentrator::runtime_setting(
   if (key == "dc.enable_dli") return cfg_.enable_dli ? 1.0 : 0.0;
   if (key == "dc.enable_sbfr") return cfg_.enable_sbfr ? 1.0 : 0.0;
   if (key == "dc.enable_fuzzy") return cfg_.enable_fuzzy ? 1.0 : 0.0;
-  if (key == "dc.enable_sensor_validation") {
-    return cfg_.enable_sensor_validation ? 1.0 : 0.0;
-  }
   if (key == "dc.process_period_s") return cfg_.process_period.seconds();
   if (key == "dc.vibration_period_s") return cfg_.vibration_period.seconds();
   if (key == "dc.heartbeat_period_s") return cfg_.heartbeat_period.seconds();
@@ -643,7 +636,6 @@ void DataConcentrator::emit_sensor_fault(SimTime now,
 
 bool DataConcentrator::validate_window(SimTime now, const std::string& channel,
                                        std::span<const double> samples) {
-  if (!cfg_.enable_sensor_validation) return true;
   const SensorValidator::Verdict v = validator_.check_window(channel, samples);
   if (v.newly_quarantined) emit_sensor_fault(now, channel, *v.fault, false);
   if (v.released && v.cleared_kind.has_value()) {
@@ -760,7 +752,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
                                  cfg_.current_sample_rate_hz, load, frame);
     }
     for (const auto& [key, value] : process) {
-      if (cfg_.enable_sensor_validation && validator_.quarantined(key)) {
+      if (validator_.quarantined(key)) {
         continue;  // rules abstain on the missing feature
       }
       frame.set(key, value);
@@ -780,8 +772,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
       ctx.load_fraction = load;
       const auto temp = process.find("process.bearing_temp_c");
       if (temp != process.end() &&
-          !(cfg_.enable_sensor_validation &&
-            validator_.quarantined(temp->first))) {
+          !validator_.quarantined(temp->first)) {
         ctx.bearing_temp_c = temp->second;
       }
 
@@ -806,21 +797,19 @@ void DataConcentrator::run_process_scan(SimTime now) {
 
   // Screen every reading; quarantined keys vanish from the snapshot, so the
   // database, the raw-data feed and every analyzer see only trusted values.
-  if (cfg_.enable_sensor_validation) {
-    for (auto it = snapshot.begin(); it != snapshot.end();) {
-      const SensorValidator::Verdict v =
-          validator_.check_value(it->first, it->second);
-      if (v.newly_quarantined) {
-        emit_sensor_fault(now, it->first, *v.fault, false);
-      }
-      if (v.released && v.cleared_kind.has_value()) {
-        emit_sensor_fault(now, it->first, *v.cleared_kind, true);
-      }
-      if (validator_.quarantined(it->first)) {
-        it = snapshot.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = snapshot.begin(); it != snapshot.end();) {
+    const SensorValidator::Verdict v =
+        validator_.check_value(it->first, it->second);
+    if (v.newly_quarantined) {
+      emit_sensor_fault(now, it->first, *v.fault, false);
+    }
+    if (v.released && v.cleared_kind.has_value()) {
+      emit_sensor_fault(now, it->first, *v.cleared_kind, true);
+    }
+    if (validator_.quarantined(it->first)) {
+      it = snapshot.erase(it);
+    } else {
+      ++it;
     }
   }
 

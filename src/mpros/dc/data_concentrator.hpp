@@ -81,9 +81,8 @@ struct DcConfig {
   bool enable_dli = true;
   bool enable_sbfr = true;
   bool enable_fuzzy = true;
-  /// Screen every acquisition for instrument faults; quarantined channels
-  /// are withheld from the analyzers and reported as sensor faults.
-  bool enable_sensor_validation = true;
+  /// Every acquisition is screened for instrument faults; quarantined
+  /// channels are withheld from the analyzers and reported as sensor faults.
   SensorValidatorConfig sensor_validation = chiller_validator_config();
   /// Report delivery: each sync window's ReportBatch is sealed under a
   /// sequence number, buffered until the PDME acks, and retransmitted with
@@ -94,7 +93,7 @@ struct DcConfig {
   /// (net::desync_phase) so hundreds of DCs brought up together do not
   /// burst-retransmit in lockstep when an outage ends.
   SimTime retransmit_sweep_period = SimTime::from_seconds(60.0);
-  /// Cadence of DC->PDME liveness heartbeats (0 disables).
+  /// Cadence of DC->PDME liveness heartbeats (must be positive).
   SimTime heartbeat_period = SimTime::from_seconds(60.0);
 };
 
@@ -322,7 +321,6 @@ class DataConcentrator {
   EventScheduler::TaskId process_task_ = 0;
   EventScheduler::TaskId sweep_task_ = 0;
   EventScheduler::TaskId heartbeat_task_ = 0;
-  bool has_heartbeat_task_ = false;
   db::Database db_;
   rules::BelievabilityTable beliefs_;
   rules::FeatureExtractor extractor_;

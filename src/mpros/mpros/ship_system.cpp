@@ -21,7 +21,10 @@ constexpr std::int64_t kCommittedThroughKey = 1;
 }  // namespace
 
 ShipSystem::ShipSystem(ShipSystemConfig cfg)
-    : cfg_(cfg), network_(cfg.network), pool_(cfg.worker_threads) {
+    : cfg_(cfg),
+      network_(cfg.network),
+      pool_(cfg.worker_threads),
+      supervisor_(cfg.supervisor) {
   MPROS_EXPECTS(cfg.plant_count >= 1);
 
   if (cfg_.enable_durability) {
@@ -92,19 +95,17 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
   }
 
   // The watchdog interval must match the cadence the DCs actually beat.
-  if (cfg_.dc_template.heartbeat_period.micros() > 0) {
-    const SimTime requested = cfg_.pdme.heartbeat_interval;
-    if (requested.micros() != pdme::PdmeConfig{}.heartbeat_interval.micros() &&
-        requested.micros() != cfg_.dc_template.heartbeat_period.micros()) {
-      MPROS_LOG_WARN("mpros",
-                     "pdme.heartbeat_interval %.0f s conflicts with "
-                     "dc_template.heartbeat_period %.0f s; using the DC "
-                     "period (the watchdog must match the beat cadence)",
-                     requested.seconds(),
-                     cfg_.dc_template.heartbeat_period.seconds());
-    }
-    cfg_.pdme.heartbeat_interval = cfg_.dc_template.heartbeat_period;
+  const SimTime requested = cfg_.pdme.heartbeat_interval;
+  if (requested.micros() != pdme::PdmeConfig{}.heartbeat_interval.micros() &&
+      requested.micros() != cfg_.dc_template.heartbeat_period.micros()) {
+    MPROS_LOG_WARN("mpros",
+                   "pdme.heartbeat_interval %.0f s conflicts with "
+                   "dc_template.heartbeat_period %.0f s; using the DC "
+                   "period (the watchdog must match the beat cadence)",
+                   requested.seconds(),
+                   cfg_.dc_template.heartbeat_period.seconds());
   }
+  cfg_.pdme.heartbeat_interval = cfg_.dc_template.heartbeat_period;
   pdme_ = std::make_unique<pdme::PdmeExecutive>(model_, cfg_.pdme);
   if (recovered_) {
     // Re-fold every persisted report object in creation order so the fused
@@ -217,9 +218,6 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
     }
   }
 
-  if (cfg_.enable_supervisor) {
-    supervisor_ = std::make_unique<dc::DcSupervisor>(cfg_.supervisor);
-  }
   step_horizon_ = std::max(SimTime::from_hours(1.0),
                            SimTime(cfg_.supervisor.wedge_timeout.micros() * 2));
 
@@ -282,14 +280,10 @@ std::size_t ShipSystem::advance_to(SimTime t) {
   // Supervised recovery: a DC whose progress tick froze gets torn down,
   // rebuilt from its salvage and caught up (restart_dc_to flushes each
   // catch-up slice itself) before the regular flush below.
-  if (supervisor_) {
-    for (std::size_t i = 0; i < dcs_.size(); ++i) {
-      if (!supervisor_->observe(DcId(i + 1), dcs_[i]->progress(), t)) {
-        continue;
-      }
-      restart_dc_to(i, t);
-      supervisor_->notify_restarted(DcId(i + 1), dcs_[i]->progress(), t);
-    }
+  for (std::size_t i = 0; i < dcs_.size(); ++i) {
+    if (!supervisor_.observe(DcId(i + 1), dcs_[i]->progress(), t)) continue;
+    restart_dc_to(i, t);
+    supervisor_.notify_restarted(DcId(i + 1), dcs_[i]->progress(), t);
   }
 
   // Serialize and send on the driver thread in DC order so the wire
@@ -479,10 +473,8 @@ void ShipSystem::wedge_dc(std::size_t plant, bool wedged) {
 void ShipSystem::restart_dc(std::size_t plant) {
   MPROS_EXPECTS(plant < dcs_.size());
   restart_dc_to(plant, now_);
-  if (supervisor_) {
-    supervisor_->notify_restarted(DcId(plant + 1), dcs_[plant]->progress(),
-                                  now_);
-  }
+  supervisor_.notify_restarted(DcId(plant + 1), dcs_[plant]->progress(),
+                               now_);
 }
 
 net::FleetSummary ShipSystem::fleet_summary(SimTime at) const {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <string_view>
 
@@ -17,25 +19,63 @@ using domain::FailureMode;
 
 namespace {
 
-/// Executive metrics (the fusion-path counters live in fusion_core.cpp;
-/// the Registry dedups by name so both resolve to the same instances).
+/// Registry handles resolved once; observations are relaxed atomics after.
+/// Counters are process-wide, shared by every executive (the Registry dedups
+/// by name).
 struct PdmeMetrics {
+  telemetry::Counter& reports_accepted;
   telemetry::Counter& duplicates_dropped;
   telemetry::Counter& malformed_dropped;
+  telemetry::Counter& fusion_updates;
+  telemetry::Counter& sensor_fault_reports;
   telemetry::Counter& gaps_detected;
   telemetry::Counter& heartbeats_received;
+  telemetry::Histogram& fuse_wall_us;
   telemetry::Histogram& report_pipeline_latency_us;
 
   static PdmeMetrics& instance() {
     static auto& reg = telemetry::Registry::instance();
-    static PdmeMetrics m{reg.counter("pdme.duplicates_dropped"),
+    static PdmeMetrics m{reg.counter("pdme.reports_accepted"),
+                         reg.counter("pdme.duplicates_dropped"),
                          reg.counter("pdme.malformed_dropped"),
+                         reg.counter("pdme.fusion_updates"),
+                         reg.counter("pdme.sensor_fault_reports"),
                          reg.counter("pdme.gaps_detected"),
                          reg.counter("pdme.heartbeats_received"),
+                         reg.histogram("pdme.fuse_wall_us"),
                          reg.histogram("pdme.report_pipeline_latency_us")};
     return m;
   }
 };
+
+/// Exact-duplicate (retransmission) signature of a report.
+std::string report_signature(const net::FailureReport& r) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu/%lld/%.6f",
+                static_cast<unsigned long long>(r.dc.value()),
+                static_cast<unsigned long long>(r.knowledge_source.value()),
+                static_cast<unsigned long long>(r.sensed_object.value()),
+                static_cast<unsigned long long>(r.machine_condition.value()),
+                static_cast<long long>(r.timestamp.micros()), r.belief);
+  return buf;
+}
+
+/// A report fusion can fold: a machinery or sensor-fault condition id, and
+/// finite severity, belief and prognostic pairs (a NaN belief would abort
+/// Dempster-Shafer; an infinite severity would make the priority infinite).
+bool well_formed(const net::FailureReport& r) {
+  if (!r.machine_condition.valid() ||
+      (r.machine_condition.value() > domain::kFailureModeCount &&
+       !domain::is_sensor_fault_condition(r.machine_condition))) {
+    return false;
+  }
+  if (!std::isfinite(r.severity) || !std::isfinite(r.belief)) return false;
+  return std::all_of(r.prognostics.begin(), r.prognostics.end(),
+                     [](const net::PrognosticPair& p) {
+                       return std::isfinite(p.probability) &&
+                              std::isfinite(p.time_seconds);
+                     });
+}
 
 /// Fixed-width hex of the raw IEEE-754 bits: exact round-trip with no
 /// digit-generation arithmetic at all. Report posting is the ingest hot
@@ -102,7 +142,7 @@ const char* to_string(DcLiveness liveness) {
 }
 
 PdmeExecutive::PdmeExecutive(oosm::ObjectModel& model, PdmeConfig cfg)
-    : model_(model), cfg_(cfg), core_(cfg_) {
+    : model_(model), cfg_(cfg) {
   subscription_ = model_.subscribe(
       [this](const oosm::OosmEvent& event) { on_oosm_event(event); });
 }
@@ -115,12 +155,12 @@ std::optional<ObjectId> PdmeExecutive::accept(
   env.dc = report.dc;
   env.sequence = 0;  // unsequenced: no reliable-stream bookkeeping
   env.report = report;
-  return submit({&env, 1}).last_object;
+  return submit({&env, 1});
 }
 
-PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
+std::optional<ObjectId> PdmeExecutive::submit(
     std::span<const net::ReportEnvelope> reports) {
-  SubmitOutcome out;
+  std::optional<ObjectId> last_object;
   PdmeMetrics& metrics = PdmeMetrics::instance();
   std::size_t i = 0;
   while (i < reports.size()) {
@@ -147,18 +187,18 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
       stats_.duplicates_dropped += run.size();
       metrics.duplicates_dropped.inc(run.size());
       ++stats_.duplicate_envelopes;
-      out.duplicates += run.size();
     } else {
       for (const net::ReportEnvelope& env : run) {
         const net::FailureReport& r = env.report;
-        if (cfg_.deduplicate && !core_.mark_seen(report_signature(r))) {
-          core_.count_duplicate();
+        if (cfg_.deduplicate &&
+            !seen_signatures_.insert(report_signature(r)).second) {
+          ++stats_.duplicates_dropped;
+          metrics.duplicates_dropped.inc();
           continue;
         }
-        out.last_object = post_report_object(r);
+        last_object = post_report_object(r);
         fuse(r);
       }
-      out.accepted += run.size();
       if (head.sequence != 0) {
         // Commit stream state only after the run was fused: an acked
         // sequence whose reports never reached fusion would be
@@ -174,7 +214,7 @@ PdmeExecutive::SubmitOutcome PdmeExecutive::submit(
     }
     i = j;
   }
-  return out;
+  return last_object;
 }
 
 ObjectId PdmeExecutive::post_report_object(const net::FailureReport& r) {
@@ -221,17 +261,26 @@ ObjectId PdmeExecutive::post_report_object(const net::FailureReport& r) {
   return obj;
 }
 
-net::FailureReport PdmeExecutive::reconstruct_report(ObjectId object) const {
+std::optional<net::FailureReport> PdmeExecutive::reconstruct_report(
+    ObjectId object) const {
   // Reconstruct the report from OOSM properties (§4.5: fusion reacts to the
   // model, not to a private channel).
+  bool ok = true;
   const auto get_int = [&](const char* key) -> std::int64_t {
     const auto v = model_.property(object, key);
-    MPROS_ASSERT(v.has_value());
+    if (!v.has_value() || v->type() != db::ValueType::Integer) {
+      ok = false;
+      return 0;
+    }
     return v->as_integer();
   };
   const auto get_real = [&](const char* key) -> double {
     const auto v = model_.property(object, key);
-    MPROS_ASSERT(v.has_value());
+    if (!v.has_value() || (v->type() != db::ValueType::Real &&
+                           v->type() != db::ValueType::Integer)) {
+      ok = false;
+      return 0.0;
+    }
     return v->numeric();
   };
   const auto get_text = [&](const char* key) -> std::string {
@@ -254,10 +303,10 @@ net::FailureReport PdmeExecutive::reconstruct_report(ObjectId object) const {
   r.timestamp = SimTime(get_int("timestamp_us"));
   r.prognostics = decode_prognostics(get_text("prognostics"));
   // Reports posted by third parties predate tracing; default to untraced.
-  const auto trace = model_.property(object, "trace");
-  if (trace.has_value()) {
-    r.trace = static_cast<std::uint64_t>(trace->as_integer());
+  if (model_.property(object, "trace").has_value()) {
+    r.trace = static_cast<std::uint64_t>(get_int("trace"));
   }
+  if (!ok) return std::nullopt;
   return r;
 }
 
@@ -272,28 +321,129 @@ void PdmeExecutive::on_oosm_event(const oosm::OosmEvent& event) {
     return;
   }
   // Already in the model: fuse without dedup and without a second post.
-  fuse(reconstruct_report(event.object));
+  const auto report = reconstruct_report(event.object);
+  if (report.has_value()) {
+    fuse(*report);
+  } else {
+    count_malformed();
+  }
+}
+
+void PdmeExecutive::count_malformed() {
+  ++stats_.malformed_dropped;
+  PdmeMetrics::instance().malformed_dropped.inc();
 }
 
 void PdmeExecutive::fuse(const net::FailureReport& r) {
-  const auto candidate = core_.fuse(r, /*retest_enabled=*/network_ != nullptr);
-  if (candidate.has_value()) send_retest(*candidate);
-}
-
-void PdmeExecutive::send_retest(const RetestCandidate& p) {
-  const ModeKey key{p.machine.value(), p.mode};
-  const auto last = last_retest_.find(key);
-  if (last != last_retest_.end() && p.at - last->second < cfg_.retest_backoff) {
+  PdmeMetrics& metrics = PdmeMetrics::instance();
+  if (!well_formed(r)) {
+    count_malformed();
     return;
   }
-  last_retest_[key] = p.at;
+  // Sensor-fault conclusions get their own track: fusing "the sensor lies"
+  // into Dempster-Shafer would steal mass from real machinery modes.
+  if (domain::is_sensor_fault_condition(r.machine_condition)) {
+    note_sensor_fault(r);
+    return;
+  }
+  // Stage timing rides the trace: traced reports (every DC test stamps one)
+  // get the span and feed the wall-clock histogram; untraced bulk ingest
+  // pays neither the clock reads nor the observe.
+  std::optional<telemetry::StageTimer> span;
+  if (r.trace != 0) {
+    span.emplace("pdme.fuse", r.trace, r.timestamp.micros(),
+                 &metrics.fuse_wall_us);
+  }
+  const FailureMode mode = domain::failure_mode(r.machine_condition);
+
+  ++stats_.reports_accepted;
+  metrics.reports_accepted.inc();
+  reports_[r.sensed_object.value()].push_back(r);
+
+  // Diagnostic fusion: the report's Belief field becomes simple support.
+  // apply() is update() minus the per-call GroupState summary allocation;
+  // readers pull the summary lazily via group_state()/prioritized_list().
+  diagnostics_.apply(r.sensed_object, mode, std::clamp(r.belief, 0.0, 1.0));
+
+  // Prognostic fusion: conservative envelope per (machine, mode) (§5.4),
+  // fused in place through reusable scratch.
+  ModeTrack& track = tracks_[ModeKey{r.sensed_object.value(), mode}];
+  if (!r.prognostics.empty()) {
+    prog_points_.clear();
+    for (const net::PrognosticPair& p : r.prognostics) {
+      prog_points_.push_back(
+          {SimTime::from_seconds(p.time_seconds), p.probability});
+    }
+    track.fused_prognosis.fuse_in_place(
+        {prog_points_.data(), prog_points_.size()}, fuse_scratch_);
+  }
+  track.max_severity = std::max(track.max_severity, r.severity);
+  track.trend.observe(r.timestamp, std::clamp(r.severity, 0.0, 1.0));
+  track.latest_report = std::max(track.latest_report, r.timestamp);
+  ++track.reports;
+  ++stats_.fusion_updates;
+  metrics.fusion_updates.inc();
+
+  MPROS_LOG_DEBUG("pdme", "fused %s for obj=%llu belief=%.2f",
+                  domain::to_string(mode),
+                  static_cast<unsigned long long>(r.sensed_object.value()),
+                  r.belief);
+  maybe_retest(r, mode);
+}
+
+void PdmeExecutive::note_sensor_fault(const net::FailureReport& r) {
+  PdmeMetrics& metrics = PdmeMetrics::instance();
+  ++stats_.reports_accepted;
+  metrics.reports_accepted.inc();
+  ++stats_.sensor_fault_reports;
+  metrics.sensor_fault_reports.inc();
+  reports_[r.sensed_object.value()].push_back(r);
+
+  const domain::SensorFaultKind kind =
+      domain::sensor_fault_kind(r.machine_condition);
+  SensorFaultRecord& rec = sensor_faults_[{
+      r.dc.value(), r.sensed_object.value(), static_cast<std::uint64_t>(kind)}];
+  if (rec.at.micros() > r.timestamp.micros()) return;  // stale arrival
+  rec.dc = r.dc;
+  rec.object = r.sensed_object;
+  rec.kind = kind;
+  rec.severity = r.severity;
+  rec.at = r.timestamp;
+  rec.explanation = r.explanation;
+  if (r.severity > 0.0) {
+    MPROS_LOG_WARN("pdme", "sensor fault from dc-%llu: %s",
+                   static_cast<unsigned long long>(r.dc.value()),
+                   r.explanation.c_str());
+  }
+}
+
+void PdmeExecutive::maybe_retest(const net::FailureReport& r,
+                                 FailureMode mode) {
+  if (network_ == nullptr || !cfg_.auto_retest ||
+      r.severity < cfg_.retest_severity) {
+    return;
+  }
+  const fusion::GroupState group =
+      diagnostics_.state(r.sensed_object, domain::logical_group(mode));
+  // Already corroborated: several reports and little unknown mass left. A
+  // first-ever severe report always earns a closer look, however confident
+  // its source was.
+  if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) return;
+
+  const ModeKey key{r.sensed_object.value(), mode};
+  const auto last = last_retest_.find(key);
+  if (last != last_retest_.end() &&
+      r.timestamp - last->second < cfg_.retest_backoff) {
+    return;
+  }
+  last_retest_[key] = r.timestamp;
 
   net::TestCommandMessage cmd;
-  cmd.target = p.dc;
+  cmd.target = r.dc;
   cmd.command = net::TestCommandMessage::Command::VibrationTest;
-  cmd.reason = "PDME closer-look: " + domain::condition_text(p.mode);
-  network_->send(endpoint_name_, "dc-" + std::to_string(p.dc.value()),
-                 net::wrap(cmd), p.at);
+  cmd.reason = "PDME closer-look: " + domain::condition_text(mode);
+  network_->send(endpoint_name_, "dc-" + std::to_string(r.dc.value()),
+                 net::wrap(cmd), r.timestamp);
   ++stats_.retests_commanded;
 }
 
@@ -303,27 +453,30 @@ std::size_t PdmeExecutive::rebuild_from_model() {
   // (the old timestamp sort was unstable across same-stamp reports) folds
   // the Dempster-Shafer floats differently and recovery would no longer be
   // byte-identical to the uncrashed run.
-  std::vector<net::FailureReport> recovered;
+  std::size_t recovered = 0;
   for (const ObjectId obj :
        model_.objects_of_kind(domain::EquipmentKind::Report)) {
     const auto posted = model_.property(obj, "posted");
     if (!posted.has_value()) continue;  // half-written report: skip
-    recovered.push_back(reconstruct_report(obj));
-  }
-  for (const net::FailureReport& r : recovered) {
+    const auto r = reconstruct_report(obj);
+    if (!r.has_value()) {
+      count_malformed();
+      continue;
+    }
     // Recovery fuses every persisted report, even signature twins (they are
     // distinct objects in the model) — so record the signature instead of
     // gating on it.
-    if (cfg_.deduplicate) core_.mark_seen(report_signature(r));
-    fuse(r);
+    if (cfg_.deduplicate) seen_signatures_.insert(report_signature(*r));
+    fuse(*r);
+    ++recovered;
   }
-  return recovered.size();
+  return recovered;
 }
 
-std::vector<PdmeExecutive::SensorFaultRecord> PdmeExecutive::sensor_faults(
+std::vector<SensorFaultRecord> PdmeExecutive::sensor_faults(
     bool active_only) const {
   std::vector<SensorFaultRecord> out;
-  for (const auto& [key, rec] : core_.sensor_fault_entries()) {
+  for (const auto& [key, rec] : sensor_faults_) {
     if (!active_only || rec.severity > 0.0) out.push_back(rec);
   }
   return out;
@@ -402,11 +555,15 @@ DcLiveness PdmeExecutive::dc_liveness(DcId dc) const {
 }
 
 std::vector<MaintenanceItem> PdmeExecutive::prioritized_list() const {
-  // Per-machine lists over the tracked machines (ascending), then one
-  // global sort.
+  // Per-machine lists over the tracked machines (ascending — tracks_ is
+  // key-ordered), then one global sort. std::sort is not stable: this exact
+  // sequence of sorts fixes the order of equal-priority items.
   std::vector<MaintenanceItem> items;
-  for (const std::uint64_t m : core_.machines()) {
-    const auto per_machine = core_.prioritized_list(ObjectId(m));
+  std::optional<std::uint64_t> previous;
+  for (const auto& [key, track] : tracks_) {
+    if (previous == key.machine) continue;
+    previous = key.machine;
+    const auto per_machine = prioritized_list(ObjectId(key.machine));
     items.insert(items.end(), per_machine.begin(), per_machine.end());
   }
   std::sort(items.begin(), items.end(),
@@ -418,38 +575,65 @@ std::vector<MaintenanceItem> PdmeExecutive::prioritized_list() const {
 
 std::vector<MaintenanceItem> PdmeExecutive::prioritized_list(
     ObjectId machine) const {
-  return core_.prioritized_list(machine);
+  std::vector<MaintenanceItem> items;
+  for (const fusion::GroupState& gs : diagnostics_.states(machine)) {
+    for (const fusion::ModeBelief& mb : gs.modes) {
+      if (mb.belief <= 1e-9) continue;
+      MaintenanceItem item;
+      item.machine = machine;
+      item.mode = mb.mode;
+      item.fused_belief = mb.belief;
+      item.plausibility = mb.plausibility;
+      item.report_count = gs.report_count;
+
+      const auto track = tracks_.find(ModeKey{machine.value(), mb.mode});
+      if (track != tracks_.end()) {
+        item.max_severity = track->second.max_severity;
+        if (!track->second.fused_prognosis.empty()) {
+          item.median_ttf =
+              track->second.fused_prognosis.time_to_probability(0.5);
+          item.p90_ttf = track->second.fused_prognosis.time_to_probability(0.9);
+        }
+        item.trend_ttf =
+            track->second.trend.time_to_failure(track->second.latest_report);
+      }
+      item.priority = item.fused_belief * std::max(0.1, item.max_severity);
+      items.push_back(item);
+    }
+  }
+  std::sort(items.begin(), items.end(),
+            [](const MaintenanceItem& a, const MaintenanceItem& b) {
+              return a.priority > b.priority;
+            });
+  return items;
 }
 
 std::optional<fusion::PrognosticVector> PdmeExecutive::prognosis(
     ObjectId machine, FailureMode mode) const {
-  return core_.prognosis(machine, mode);
+  const auto it = tracks_.find(ModeKey{machine.value(), mode});
+  if (it == tracks_.end() || it->second.fused_prognosis.empty()) {
+    return std::nullopt;
+  }
+  return it->second.fused_prognosis;
 }
 
 fusion::PrognosticVector PdmeExecutive::trend_prognosis(
     ObjectId machine, FailureMode mode) const {
-  return core_.trend_prognosis(machine, mode);
+  const auto it = tracks_.find(ModeKey{machine.value(), mode});
+  if (it == tracks_.end()) return fusion::PrognosticVector{};
+  return it->second.trend.project(it->second.latest_report);
 }
 
 fusion::GroupState PdmeExecutive::group_state(
     ObjectId machine, domain::LogicalGroup group) const {
-  return core_.group_state(machine, group);
+  return diagnostics_.state(machine, group);
 }
 
 std::vector<net::FailureReport> PdmeExecutive::reports_for(
     ObjectId machine) const {
-  return core_.reports_for(machine);
-}
-
-PdmeExecutive::Stats PdmeExecutive::snapshot() const {
-  Stats out = stats_;
-  const FusionCore::Stats& cs = core_.core_stats();
-  out.reports_accepted += cs.reports_accepted;
-  out.duplicates_dropped += cs.duplicates_dropped;
-  out.malformed_dropped += cs.malformed_dropped;
-  out.fusion_updates += cs.fusion_updates;
-  out.sensor_fault_reports += cs.sensor_fault_reports;
-  return out;
+  const auto it = reports_.find(machine.value());
+  if (it == reports_.end()) return {};
+  return {it->second.begin(), it->second.end()};
 }
 
 void PdmeExecutive::attach_to_network(net::SimNetwork& network,
@@ -464,8 +648,7 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
         // that does not parse is counted and dropped, never fatal.
         const auto type = net::try_peek_type(message.payload);
         if (!type.has_value()) {
-          ++stats_.malformed_dropped;
-          metrics.malformed_dropped.inc();
+          count_malformed();
           return;
         }
         switch (*type) {
@@ -475,8 +658,7 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
             const auto view =
                 net::try_unwrap_reports_into(message.payload, decode_arena_);
             if (!view.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
+              count_malformed();
               return;
             }
             note_dc_alive(view->dc, message.delivered_at);
@@ -507,8 +689,7 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
           case net::MessageType::Heartbeat: {
             const auto hb = net::try_unwrap_heartbeat(message.payload);
             if (!hb.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
+              count_malformed();
               return;
             }
             accept(*hb, message.delivered_at);
@@ -517,8 +698,7 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
           case net::MessageType::SensorData: {
             const auto data = net::try_unwrap_sensor_data(message.payload);
             if (!data.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
+              count_malformed();
               return;
             }
             note_dc_alive(data->dc, message.delivered_at);
@@ -530,8 +710,7 @@ void PdmeExecutive::attach_to_network(net::SimNetwork& network,
             // PDME->DC and never arrive here).
             const auto ack = net::try_unwrap_ack(message.payload);
             if (!ack.has_value()) {
-              ++stats_.malformed_dropped;
-              metrics.malformed_dropped.inc();
+              count_malformed();
               return;
             }
             note_dc_alive(ack->dc, message.delivered_at);
@@ -599,7 +778,15 @@ void PdmeExecutive::accept(const net::SensorDataMessage& data) {
 }
 
 void PdmeExecutive::reset_machine(ObjectId machine) {
-  core_.reset_machine(machine);
+  diagnostics_.reset(machine);
+  reports_.erase(machine.value());
+  for (auto it = tracks_.begin(); it != tracks_.end();) {
+    if (it->first.machine == machine.value()) {
+      it = tracks_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 }  // namespace mpros::pdme

@@ -18,21 +18,87 @@
 // fuse synchronously, so every query reflects every report already handed
 // in. The PDME's load is a few reports per DC-hour.
 
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "mpros/fusion/diagnostic_fusion.hpp"
+#include "mpros/fusion/prognostic_fusion.hpp"
+#include "mpros/fusion/trend.hpp"
 #include "mpros/net/messages.hpp"
 #include "mpros/net/network.hpp"
 #include "mpros/net/reliable.hpp"
+#include "mpros/net/report.hpp"
 #include "mpros/oosm/object_model.hpp"
-#include "mpros/pdme/fusion_core.hpp"
 
 namespace mpros::pdme {
+
+/// One line of the prioritized maintenance list.
+struct MaintenanceItem {
+  ObjectId machine;
+  domain::FailureMode mode{};
+  double fused_belief = 0.0;     ///< Bel({mode}) from Dempster-Shafer
+  double plausibility = 0.0;
+  double max_severity = 0.0;     ///< worst severity reported for the mode
+  double priority = 0.0;         ///< belief x severity, the sort key
+  std::size_t report_count = 0;  ///< reports contributing to the group
+  std::optional<SimTime> median_ttf;  ///< fused P(fail) reaches 0.5
+  std::optional<SimTime> p90_ttf;     ///< fused P(fail) reaches 0.9
+  /// §10.1 temporal reasoning: projected time-to-failure from the severity
+  /// trend across this mode's report history (absent while the trend is
+  /// flat, improving, or under-sampled).
+  std::optional<SimTime> trend_ttf;
+};
+
+struct PdmeConfig {
+  /// Reports older than this against the same (machine, condition) replace
+  /// nothing — exact duplicates (retransmissions) are dropped by signature.
+  bool deduplicate = true;
+
+  /// Adaptive "closer look" (§6.3): when a fused report crosses
+  /// `retest_severity` while the group still carries real unknown mass, the
+  /// PDME commands the originating DC to run an immediate vibration test.
+  /// Requires attach_to_network(); at most one command per (machine, mode)
+  /// per `retest_backoff` of report time.
+  bool auto_retest = false;
+  double retest_severity = 0.70;
+  double retest_unknown = 0.20;
+  SimTime retest_backoff = SimTime::from_hours(1.0);
+
+  /// DC liveness supervision: the watchdog interval the DCs are expected to
+  /// beat (matches DcConfig::heartbeat_period in the assembled system). A
+  /// machinery space silent for `stale_after_missed` intervals is Stale,
+  /// for `lost_after_missed` intervals Lost. Any report, heartbeat or
+  /// sensor batch from the DC restores Alive.
+  SimTime heartbeat_interval = SimTime::from_seconds(60.0);
+  std::size_t stale_after_missed = 2;
+  std::size_t lost_after_missed = 3;
+
+  /// Control plane: reliable-delivery tuning for the per-DC command streams
+  /// (send_command). Same ack algebra as the report path, opposite
+  /// direction.
+  net::ReliableConfig command_reliable;
+};
+
+/// The latest word on each instrument channel the validators flagged:
+/// severity > 0 = fault standing, 0 = cleared. Keyed by
+/// (dc, sensed object, fault kind); newest report wins.
+struct SensorFaultRecord {
+  DcId dc;
+  ObjectId object;
+  domain::SensorFaultKind kind{};
+  double severity = 0.0;
+  SimTime at;
+  std::string explanation;
+};
 
 /// Watchdog verdict on one DC's report stream.
 enum class DcLiveness : std::uint8_t { Alive = 0, Stale, Lost };
@@ -56,16 +122,6 @@ class PdmeExecutive {
   PdmeExecutive(const PdmeExecutive&) = delete;
   PdmeExecutive& operator=(const PdmeExecutive&) = delete;
 
-  /// What one submit() span did. Counters are per report, so a caller can
-  /// conserve its own ledger: accepted + duplicates == span size.
-  struct SubmitOutcome {
-    std::size_t accepted = 0;    ///< reports handed to fusion
-    std::size_t duplicates = 0;  ///< reports dropped as retransmissions
-    /// The last report object posted (nullopt when every report in the
-    /// span was a duplicate).
-    std::optional<ObjectId> last_object;
-  };
-
   /// THE ingest entry point: every report path — the wire adapter's decoded
   /// ReportBatch, in-process posts (accept(), replay, tests) — funnels
   /// through here. Each contiguous run sharing a nonzero (dc, sequence) is
@@ -74,8 +130,9 @@ class PdmeExecutive {
   /// commits exactly one sequence number on the DC's report stream.
   /// Elements with sequence == 0 are in-process posts with no stream
   /// state. Acks are the wire adapter's job — submit() itself never
-  /// touches the network.
-  SubmitOutcome submit(std::span<const net::ReportEnvelope> reports);
+  /// touches the network. Returns the last report object posted (nullopt
+  /// when every report in the span was a duplicate).
+  std::optional<ObjectId> submit(std::span<const net::ReportEnvelope> reports);
 
   /// Step 1 of §5.1: post a report into the OOSM (and let the event chain
   /// run fusion). A one-element unsequenced span through submit(). Returns
@@ -146,8 +203,6 @@ class PdmeExecutive {
   /// send_command to it). Tests assert window drain / backoff through it.
   [[nodiscard]] const net::ReliableSender* command_stream(DcId dc) const;
 
-  /// Compatibility alias — the record type moved to fusion_core.hpp.
-  using SensorFaultRecord = pdme::SensorFaultRecord;
   [[nodiscard]] std::vector<SensorFaultRecord> sensor_faults(
       bool active_only = true) const;
 
@@ -182,6 +237,9 @@ class PdmeExecutive {
   struct Stats {
     std::uint64_t reports_accepted = 0;
     std::uint64_t duplicates_dropped = 0;
+    /// Datagrams that do not decode, plus reports fusion cannot fold: an
+    /// unknown condition, a non-finite value, or a hand-posted Report object
+    /// missing a property or holding one of the wrong type.
     std::uint64_t malformed_dropped = 0;
     std::uint64_t fusion_updates = 0;
     std::uint64_t sensor_batches = 0;
@@ -203,9 +261,7 @@ class PdmeExecutive {
 
     friend bool operator==(const Stats&, const Stats&) = default;
   };
-  /// Coherent copy of the counters: the executive's own plus the fusion
-  /// core's.
-  [[nodiscard]] Stats snapshot() const;
+  [[nodiscard]] Stats snapshot() const { return stats_; }
 
   [[nodiscard]] oosm::ObjectModel& model() { return model_; }
   [[nodiscard]] const oosm::ObjectModel& model() const { return model_; }
@@ -235,14 +291,34 @@ class PdmeExecutive {
   void restore_command_revision(DcId dc, std::uint64_t revision);
 
  private:
-  using ModeKey = std::pair<std::uint64_t, domain::FailureMode>;
+  struct ModeKey {
+    std::uint64_t machine;
+    domain::FailureMode mode;
+    auto operator<=>(const ModeKey&) const = default;
+  };
+  struct ModeTrack {
+    fusion::PrognosticVector fused_prognosis;
+    fusion::TrendProjector trend;
+    SimTime latest_report;
+    double max_severity = 0.0;
+    std::size_t reports = 0;
+  };
+  using SensorFaultKey =
+      std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 
   void on_oosm_event(const oosm::OosmEvent& event);
-  [[nodiscard]] net::FailureReport reconstruct_report(ObjectId object) const;
-  /// Fuse one report, then send the retest command it earned (if any).
+  /// nullopt when the object lacks a required property or holds one of the
+  /// wrong type (a hand-posted object is third-party input).
+  [[nodiscard]] std::optional<net::FailureReport> reconstruct_report(
+      ObjectId object) const;
+  /// Fuse one report (§5.1 steps 3-4 state updates), then send the retest
+  /// command it earned (if any).
   void fuse(const net::FailureReport& report);
-  /// Backoff-filter and send one retest command.
-  void send_retest(const RetestCandidate& candidate);
+  void note_sensor_fault(const net::FailureReport& report);
+  /// Adaptive retest (§6.3): the severity/corroboration check, then the
+  /// per-(machine, mode) backoff ledger, then the command.
+  void maybe_retest(const net::FailureReport& report, domain::FailureMode mode);
+  void count_malformed();
   ObjectId post_report_object(const net::FailureReport& report);
 
   oosm::ObjectModel& model_;
@@ -253,7 +329,18 @@ class PdmeExecutive {
   oosm::ObjectModel::SubscriptionId subscription_;
   bool posting_ = false;  // re-entrancy guard while we create objects
 
-  FusionCore core_;
+  fusion::DiagnosticFusion diagnostics_;
+  /// Reused per-report buffers: prognostic-pair conversion plus the fuse
+  /// scratch keep the steady-state fuse path off the heap.
+  std::vector<fusion::PrognosticPoint> prog_points_;
+  fusion::FuseScratch fuse_scratch_;
+  std::map<ModeKey, ModeTrack> tracks_;
+  /// Per-machine report history. Deques: report structs never move once
+  /// stored, so high-rate ingest avoids the reallocate-and-move storms a
+  /// growing vector of string-bearing structs would pay.
+  std::map<std::uint64_t, std::deque<net::FailureReport>> reports_;
+  std::set<std::string> seen_signatures_;
+  std::map<SensorFaultKey, SensorFaultRecord> sensor_faults_;
   /// Wire-decode arena: report datagrams decode into this vector, reusing
   /// its slots (and their strings/vectors) across datagrams so steady-state
   /// ingest performs no per-report allocation in the decoder.
@@ -265,7 +352,7 @@ class PdmeExecutive {
       command_senders_;
   std::map<std::uint64_t, std::uint64_t> command_revisions_;
   std::map<std::uint64_t, DcHealth> dc_health_;  // by DcId value
-  Stats stats_;  ///< executive-side fields only; snapshot() adds core_'s
+  Stats stats_;
 };
 
 }  // namespace mpros::pdme

@@ -503,6 +503,29 @@ TEST_F(DataConcentratorTest, PersistedConfigSurvivesSalvageRestart) {
   EXPECT_EQ(recovered.runtime_setting("validator.spike_sigmas"), 8.5);
 }
 
+TEST_F(DataConcentratorTest, CommandedPeriodsSurviveSalvageRestart) {
+  // The persisted config is re-applied before the recovered DC registers its
+  // scheduler tasks, so retuned periods must not touch a task that does not
+  // exist yet.
+  DcConfig cfg = dc_config();
+  DataConcentrator dc(cfg, refs_, chiller_);
+  (void)dc.advance_to(SimTime::from_seconds(120.0));
+
+  net::CommandMessage cmd;
+  cmd.target = DcId(7);
+  cmd.revision = 1;
+  cmd.settings = {{"dc.heartbeat_period_s", 30.0},
+                  {"dc.retransmit_sweep_period_s", 45.0}};
+  dc.apply_command(cmd, SimTime::from_seconds(130.0));
+  ASSERT_EQ(dc.stats().config_applied, 2u);
+
+  DataConcentrator recovered(cfg, refs_, chiller_, nullptr, dc.salvage());
+  EXPECT_EQ(recovered.runtime_setting("dc.heartbeat_period_s"), 30.0);
+  EXPECT_EQ(recovered.runtime_setting("dc.retransmit_sweep_period_s"), 45.0);
+  (void)recovered.advance_to(SimTime::from_seconds(240.0));
+  EXPECT_GT(recovered.stats().heartbeats_sent, dc.stats().heartbeats_sent);
+}
+
 TEST_F(DataConcentratorTest, WedgedDcFreezesProgressAndIgnoresWire) {
   DataConcentrator dc(dc_config(), refs_, chiller_);
   (void)dc.advance_to(SimTime::from_seconds(60.0));

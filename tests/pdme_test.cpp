@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "mpros/dc/data_concentrator.hpp"
@@ -14,6 +15,7 @@
 #include "mpros/pdme/mimosa.hpp"
 #include "mpros/oosm/persistence.hpp"
 #include "mpros/pdme/pdme.hpp"
+#include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::pdme {
 namespace {
@@ -413,6 +415,154 @@ TEST_F(PdmeTest, MalformedConditionDropped) {
   pdme_.accept(bad);
   EXPECT_EQ(pdme_.snapshot().malformed_dropped, 1u);
   EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
+}
+
+TEST_F(PdmeTest, NonFiniteReportValuesCountedMalformed) {
+  // A NaN belief used to abort Dempster-Shafer and an infinite severity made
+  // the priority infinite. Each must be dropped as malformed, whether it is
+  // posted in-process or arrives in a wired batch — and the datagram is
+  // still acked so the DC stops retransmitting it.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto hostile = [&](double t_seconds) {
+    std::vector<net::FailureReport> out(
+        3, make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8, 1,
+                       t_seconds));
+    out[0].belief = kNan;
+    out[1].severity = kInf;
+    out[2].prognostics[1].time_seconds = kNan;
+    out[1].timestamp += SimTime::from_seconds(1);
+    out[2].timestamp += SimTime::from_seconds(2);
+    return out;
+  };
+
+  for (const net::FailureReport& r : hostile(100.0)) pdme_.accept(r);
+  EXPECT_EQ(pdme_.snapshot().malformed_dropped, 3u);
+
+  net::SimNetwork network;
+  pdme_.attach_to_network(network);
+  std::vector<net::AckMessage> acks;
+  network.register_endpoint("dc-1", [&](const net::Message& m) {
+    if (const auto ack = net::try_unwrap_ack(m.payload)) acks.push_back(*ack);
+  });
+  const auto wired = hostile(200.0);
+  network.send("dc-1", "pdme", net::wrap_batch_envelope(DcId(1), 1, wired),
+               SimTime(0));
+  network.flush();
+
+  const auto stats = pdme_.snapshot();
+  EXPECT_EQ(stats.malformed_dropped, 6u);
+  EXPECT_EQ(stats.reports_accepted, 0u);
+  EXPECT_EQ(stats.fusion_updates, 0u);
+  EXPECT_EQ(stats.envelopes_accepted, 1u);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].cumulative, 1u);
+  EXPECT_TRUE(pdme_.prioritized_list().empty());
+  EXPECT_FALSE(
+      pdme_.prognosis(motor_, FailureMode::MotorImbalance).has_value());
+
+  // The executive is unharmed: a sane report still fuses.
+  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8, 1,
+                           300.0));
+  ASSERT_EQ(pdme_.prioritized_list().size(), 1u);
+  EXPECT_NEAR(pdme_.prioritized_list()[0].fused_belief, 0.8, 1e-9);
+}
+
+TEST_F(PdmeTest, MalformedThirdPartyReportObjectsCountedNotFatal) {
+  // §4.5 lets anyone post a Report object. One missing a required property,
+  // or holding one of the wrong type, is counted malformed — live and again
+  // on recovery — instead of aborting the PDME.
+  const auto post = [&](const char* skip, const char* text_key) {
+    const ObjectId obj =
+        model_.create_object("manual report", domain::EquipmentKind::Report);
+    const std::pair<const char*, std::int64_t> ints[] = {
+        {"dc", 9},
+        {"ks", 2},
+        {"sensed", static_cast<std::int64_t>(motor_.value())},
+        {"condition",
+         static_cast<std::int64_t>(
+             domain::condition_id(FailureMode::RotorBarDefect).value())},
+        {"timestamp_us", 1000}};
+    for (const auto& [key, value] : ints) {
+      if (std::string(key) != skip) model_.set_property(obj, key, value);
+    }
+    model_.set_property(obj, "severity", 0.5);
+    model_.set_property(obj, "belief", 0.7);
+    if (text_key != nullptr) model_.set_property(obj, text_key, "oops");
+    model_.set_property(obj, "posted", std::int64_t{1});
+  };
+  post("dc", nullptr);          // missing source DC
+  post("", "severity");         // severity as text
+  post("", "condition");        // condition as text
+  post("", "trace");            // trace id as text
+  EXPECT_EQ(pdme_.snapshot().malformed_dropped, 4u);
+  EXPECT_EQ(pdme_.snapshot().reports_accepted, 0u);
+  EXPECT_TRUE(pdme_.prioritized_list().empty());
+
+  pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8));
+
+  // Recovery over the same model re-fuses the one well-formed report and
+  // counts the four hand-posted ones again.
+  PdmeExecutive recovered(model_);
+  EXPECT_EQ(recovered.rebuild_from_model(), 1u);
+  EXPECT_EQ(recovered.snapshot().malformed_dropped, 4u);
+  EXPECT_EQ(recovered.snapshot().reports_accepted, 1u);
+  EXPECT_EQ(recovered.prioritized_list().size(), 1u);
+}
+
+TEST_F(PdmeTest, SnapshotCountersMatchRegistryDeltas) {
+  // One counter ledger: every Stats field with a pdme.* registry twin moves
+  // by exactly the same amount over a mixed stream.
+  auto& reg = telemetry::Registry::instance();
+  const char* const names[] = {"pdme.reports_accepted",
+                               "pdme.duplicates_dropped",
+                               "pdme.malformed_dropped",
+                               "pdme.fusion_updates",
+                               "pdme.sensor_fault_reports"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(reg.counter(name).value());
+
+  net::SimNetwork network;
+  pdme_.attach_to_network(network);
+  network.register_endpoint("dc-1", [](const net::Message&) {});
+  const net::FailureReport fresh =
+      make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8);
+  const auto datagram = net::wrap_batch_envelope(DcId(1), 1, {&fresh, 1});
+  network.send("dc-1", "pdme", datagram, SimTime(0));
+  network.send("dc-1", "pdme", datagram, SimTime(1));  // sequenced duplicate
+  network.flush();
+  pdme_.accept(fresh);  // signature duplicate
+
+  auto bad_condition = make_report(motor_, FailureMode::MotorImbalance, 0.5,
+                                   0.5, 1, 200.0);
+  bad_condition.machine_condition = ConditionId(999);
+  pdme_.accept(bad_condition);
+
+  auto sensor_fault = make_report(motor_, FailureMode::MotorImbalance, 1.0,
+                                  0.9, /*ks=*/5, 300.0);
+  sensor_fault.machine_condition =
+      domain::sensor_fault_condition(domain::SensorFaultKind::Spike);
+  pdme_.accept(sensor_fault);
+
+  auto nan_belief = make_report(motor_, FailureMode::GearMeshWear, 0.5, 0.5,
+                                1, 400.0);
+  nan_belief.belief = std::numeric_limits<double>::quiet_NaN();
+  network.send("dc-1", "pdme",
+               net::wrap_batch_envelope(DcId(1), 2, {&nan_belief, 1}),
+               SimTime(2));
+  network.flush();
+
+  const auto stats = pdme_.snapshot();
+  const std::uint64_t fields[] = {
+      stats.reports_accepted, stats.duplicates_dropped,
+      stats.malformed_dropped, stats.fusion_updates,
+      stats.sensor_fault_reports};
+  const std::uint64_t expected[] = {2, 2, 2, 1, 1};
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    EXPECT_EQ(fields[i], expected[i]) << names[i];
+    EXPECT_EQ(reg.counter(names[i]).value() - before[i], fields[i])
+        << names[i];
+  }
 }
 
 // --- Reliable envelope intake ------------------------------------------------
