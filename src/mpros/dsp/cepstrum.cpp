@@ -36,7 +36,7 @@ void real_cepstrum(std::span<const double> x, std::size_t fft_size,
   // complex pass needed.
   constexpr double kEps = 1e-12;
   for (std::size_t i = 0; i < plan.bins(); ++i) {
-    half[i] = Complex(std::log(std::abs(half[i]) + kEps), 0.0);
+    half[i] = Complex(std::log(std::sqrt(std::norm(half[i])) + kEps), 0.0);
   }
   out.resize(n);
   plan.inverse(half, out, fft_scratch);

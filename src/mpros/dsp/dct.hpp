@@ -18,4 +18,15 @@ namespace mpros::dsp {
 [[nodiscard]] std::vector<double> dct2_truncated(std::span<const double> x,
                                                  std::size_t k);
 
+/// Allocation-free variant: writes the first out.size() coefficients of x
+/// into `out` (out.size() <= x.size(), no overlap with x). The cosine basis
+/// comes from the process-wide DctBasisCache (plan_cache.hpp), so a steady
+/// (x.size(), out.size()) pair evaluates no cos() and allocates nothing.
+void dct2_truncated(std::span<const double> x, std::span<double> out);
+
+/// The k x n DCT-II cosine basis, row-major: entry [m * n + i] is
+/// cos(pi * (i + 0.5) * m / n).
+[[nodiscard]] std::vector<double> make_dct2_basis(std::size_t n,
+                                                  std::size_t k);
+
 }  // namespace mpros::dsp

@@ -39,7 +39,7 @@ void analytic_envelope(std::span<const double> x, double sample_rate_hz,
 
   out.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = std::abs(spec[i]);
+    out[i] = std::sqrt(std::norm(spec[i]));
   }
 }
 

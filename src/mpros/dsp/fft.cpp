@@ -1,6 +1,10 @@
 #include "mpros/dsp/fft.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <memory>
+#include <mutex>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/units.hpp"
@@ -15,6 +19,30 @@ telemetry::Counter& ffts_performed() {
   static telemetry::Counter& c =
       telemetry::Registry::instance().counter("dsp.ffts_performed");
   return c;
+}
+
+/// exp(-2*pi*i*k/(2h)), k = 0..h-1: the twiddles of the radix-2 stage with
+/// half-length h (a power of two). An n-point plan's stage h reads its
+/// n/2-entry table at stride n/(2h); the angles -2*pi*(k*n/(2h))/n and
+/// -2*pi*k/(2h) differ only by a power-of-two scale of numerator and
+/// denominator, which is exact, so the block has the same bits for every n
+/// and all plans share it. Each block is built once, under the lock, and
+/// never moves or dies, so plans keep raw pointers into it.
+const Complex* stage_twiddles(std::size_t half) {
+  static std::mutex mu;
+  static std::array<std::unique_ptr<Complex[]>, 64> blocks;
+  MPROS_EXPECTS(is_power_of_two(half));
+  std::lock_guard lock(mu);
+  std::unique_ptr<Complex[]>& block = blocks[std::countr_zero(half)];
+  if (!block) {
+    block = std::make_unique<Complex[]>(half);
+    for (std::size_t k = 0; k < half; ++k) {
+      const double angle = -kTwoPi * static_cast<double>(k) /
+                           static_cast<double>(2 * half);
+      block[k] = Complex(std::cos(angle), std::sin(angle));
+    }
+  }
+  return block.get();
 }
 
 }  // namespace
@@ -39,15 +67,13 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
     bit_reverse_[i] = r;
   }
 
-  twiddle_.resize(n / 2);
-  for (std::size_t k = 0; k < n / 2; ++k) {
-    const double angle = -kTwoPi * static_cast<double>(k) /
-                         static_cast<double>(n);
-    twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    stage_twiddle_.push_back(stage_twiddles(half));
   }
 }
 
-void FftPlan::transform(std::span<Complex> x, bool invert) const {
+template <bool Invert>
+void FftPlan::transform(std::span<Complex> x) const {
   MPROS_EXPECTS(x.size() == n_);
   ffts_performed().inc();
 
@@ -56,38 +82,49 @@ void FftPlan::transform(std::span<Complex> x, bool invert) const {
     if (i < j) std::swap(x[i], x[j]);
   }
 
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const std::size_t stride = n_ / len;
-    for (std::size_t start = 0; start < n_; start += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        Complex w = twiddle_[k * stride];
-        if (invert) w = std::conj(w);
-        const Complex u = x[start + k];
-        const Complex v = x[start + k + len / 2] * w;
-        x[start + k] = u + v;
-        x[start + k + len / 2] = u - v;
+  // std::complex<double> is layout-compatible with double[2]
+  // ([complex.numbers.general]), so the butterflies work on the raw parts.
+  double* const data = reinterpret_cast<double*>(x.data());
+  for (std::size_t stage = 0, half = 1; half < n_; ++stage, half <<= 1) {
+    const Complex* const tw = stage_twiddle_[stage];
+    for (std::size_t start = 0; start < n_; start += 2 * half) {
+      double* const lo = data + 2 * start;
+      double* const hi = lo + 2 * half;
+      for (std::size_t k = 0; k < half; ++k) {
+        // The inverse uses conj(w); negation is exact.
+        const double wr = tw[k].real();
+        const double wi = Invert ? -tw[k].imag() : tw[k].imag();
+        // v = x * w, term for term as std::complex<double> multiplies.
+        const double xr = hi[2 * k];
+        const double xi = hi[2 * k + 1];
+        const double vr = xr * wr - xi * wi;
+        const double vi = xr * wi + xi * wr;
+        const double ur = lo[2 * k];
+        const double ui = lo[2 * k + 1];
+        lo[2 * k] = ur + vr;
+        lo[2 * k + 1] = ui + vi;
+        hi[2 * k] = ur - vr;
+        hi[2 * k + 1] = ui - vi;
       }
     }
   }
 
-  if (invert) {
+  if constexpr (Invert) {
     const double inv_n = 1.0 / static_cast<double>(n_);
     for (Complex& c : x) c *= inv_n;
   }
 }
 
-void FftPlan::forward(std::span<Complex> x) const { transform(x, false); }
+void FftPlan::forward(std::span<Complex> x) const { transform<false>(x); }
 
-void FftPlan::inverse(std::span<Complex> x) const { transform(x, true); }
+void FftPlan::inverse(std::span<Complex> x) const { transform<true>(x); }
 
-RealFftPlan::RealFftPlan(std::size_t n) : n_(n), half_plan_(n / 2) {
+RealFftPlan::RealFftPlan(std::size_t n)
+    : n_(n), half_plan_(n / 2), split_twiddle_(stage_twiddles(n / 2)) {
   MPROS_EXPECTS(is_power_of_two(n) && n >= 4);
-  split_twiddle_.resize(n / 2 + 1);
-  for (std::size_t k = 0; k <= n / 2; ++k) {
-    const double angle = -kTwoPi * static_cast<double>(k) /
-                         static_cast<double>(n);
-    split_twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
-  }
+  const double angle = -kTwoPi * static_cast<double>(n / 2) /
+                       static_cast<double>(n);
+  nyquist_twiddle_ = Complex(std::cos(angle), std::sin(angle));
 }
 
 void RealFftPlan::forward(std::span<const double> x, std::span<Complex> half,
@@ -106,14 +143,18 @@ void RealFftPlan::forward(std::span<const double> x, std::span<Complex> half,
   half_plan_.forward(scratch.first(m));
 
   // Split Z (the m-point FFT of the packed signal) into the FFTs of the even
-  // and odd subsequences, then recombine: X[k] = E[k] + W^k O[k].
-  for (std::size_t k = 0; k <= m; ++k) {
-    const Complex zk = scratch[k == m ? 0 : k];
-    const Complex zmk = std::conj(scratch[(m - k) % m]);
+  // and odd subsequences, then recombine: X[k] = E[k] + W^k O[k]. Z is
+  // m-periodic, so the two end bins both pair Z[0] with itself.
+  const auto split = [&](std::size_t k, Complex zk, Complex zmk, Complex w) {
     const Complex even = 0.5 * (zk + zmk);
     const Complex odd = Complex(0.0, -0.5) * (zk - zmk);
-    half[k] = even + split_twiddle_[k] * odd;
+    half[k] = even + w * odd;
+  };
+  split(0, scratch[0], std::conj(scratch[0]), split_twiddle_[0]);
+  for (std::size_t k = 1; k < m; ++k) {
+    split(k, scratch[k], std::conj(scratch[m - k]), split_twiddle_[k]);
   }
+  split(m, scratch[0], std::conj(scratch[0]), nyquist_twiddle_);
 }
 
 void RealFftPlan::inverse(std::span<const Complex> half, std::span<double> x,

@@ -23,9 +23,15 @@ using Complex = std::complex<double>;
 [[nodiscard]] std::size_t next_power_of_two(std::size_t n);
 
 /// Precomputed in-place FFT for one size. Construction builds the
-/// bit-reversal permutation and twiddle table (O(n log n)); steady-state
-/// callers should obtain plans from PlanCache (plan_cache.hpp) so that cost
-/// is paid once per process, not per acquisition.
+/// bit-reversal permutation (O(n log n)) and fetches the per-stage twiddle
+/// blocks, which all plans share and the first plan needing one builds;
+/// steady-state callers should obtain plans from PlanCache (plan_cache.hpp)
+/// so that cost is paid once per process, not per acquisition.
+///
+/// The butterflies spell out the complex multiply as real arithmetic in the
+/// order std::complex<double> evaluates it, so whenever the transform stays
+/// finite the result is bit-identical to the textbook radix-2 loop over
+/// std::complex (which differs only in its NaN-recovery branch).
 class FftPlan {
  public:
   /// `n` must be a power of two >= 2.
@@ -41,11 +47,15 @@ class FftPlan {
   void inverse(std::span<Complex> x) const;
 
  private:
-  void transform(std::span<Complex> x, bool invert) const;
+  template <bool Invert>
+  void transform(std::span<Complex> x) const;
 
   std::size_t n_;
   std::vector<std::size_t> bit_reverse_;
-  std::vector<Complex> twiddle_;          // forward twiddles, n/2 entries
+  // Forward twiddles per stage: stage s (half-length h = 2^s) reads
+  // exp(-2*pi*i*k/(2h)), k = 0..h-1, contiguously. The blocks are shared by
+  // every plan in the process (see stage_twiddles() in fft.cpp).
+  std::vector<const Complex*> stage_twiddle_;
 };
 
 /// Real-input FFT plan: packs n reals into an n/2-point complex FFT and
@@ -76,8 +86,9 @@ class RealFftPlan {
 
  private:
   std::size_t n_;
-  FftPlan half_plan_;                    // n/2-point complex plan
-  std::vector<Complex> split_twiddle_;   // exp(-2*pi*i*k/n), k = 0..n/2
+  FftPlan half_plan_;              // n/2-point complex plan
+  const Complex* split_twiddle_;   // exp(-2*pi*i*k/n), k < n/2 (shared)
+  Complex nyquist_twiddle_;        // the same at k = n/2
 };
 
 /// One-shot forward FFT of a real signal. Returns the full complex spectrum

@@ -2,6 +2,7 @@
 
 #include <mutex>
 
+#include "mpros/dsp/dct.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::dsp {
@@ -28,6 +29,18 @@ telemetry::Counter& window_hits() {
 telemetry::Counter& window_misses() {
   static telemetry::Counter& c =
       telemetry::Registry::instance().counter("dsp.window_cache_miss");
+  return c;
+}
+
+telemetry::Counter& dct_hits() {
+  static telemetry::Counter& c =
+      telemetry::Registry::instance().counter("dsp.dct_cache_hit");
+  return c;
+}
+
+telemetry::Counter& dct_misses() {
+  static telemetry::Counter& c =
+      telemetry::Registry::instance().counter("dsp.dct_cache_miss");
   return c;
 }
 
@@ -99,6 +112,19 @@ const CachedWindow& WindowCache::get(WindowKind kind, std::size_t n) {
 std::size_t WindowCache::size() const {
   std::shared_lock lock(mu_);
   return windows_.size();
+}
+
+DctBasisCache& DctBasisCache::instance() {
+  static DctBasisCache cache;
+  return cache;
+}
+
+const std::vector<double>& DctBasisCache::get(std::size_t n, std::size_t k) {
+  return lookup_or_build(mu_, bases_, Key{n, k}, dct_hits(), dct_misses(),
+                         [n, k] {
+                           return std::make_unique<std::vector<double>>(
+                               make_dct2_basis(n, k));
+                         });
 }
 
 }  // namespace mpros::dsp

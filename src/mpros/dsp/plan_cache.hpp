@@ -1,5 +1,5 @@
 #pragma once
-// Process-wide FFT plan and window caches.
+// Process-wide FFT plan, window and DCT basis caches.
 //
 // The vibration test path runs the same handful of transform sizes on every
 // acquisition, but plan construction (bit-reversal table + twiddles,
@@ -9,8 +9,8 @@
 // a returned reference stays valid forever and the steady-state lookup is a
 // shared-lock map probe. Hits and misses are counted through the telemetry
 // registry ("dsp.plan_cache_hit" / "dsp.plan_cache_miss" and the window
-// equivalents); because entries are never evicted, the miss count equals
-// the number of plans built.
+// and DCT equivalents); because entries are never evicted, the miss count
+// equals the number of plans built.
 
 #include <cstddef>
 #include <map>
@@ -68,6 +68,23 @@ class WindowCache {
   using Key = std::pair<WindowKind, std::size_t>;
   mutable std::shared_mutex mu_;
   std::map<Key, std::unique_ptr<CachedWindow>> windows_;
+};
+
+/// Thread-safe cache of truncated DCT-II cosine bases keyed by (n, k): the
+/// WNN's spectral-shape features take the same k coefficients of the same
+/// n-bin spectrum on every window. Each entry holds k * n doubles.
+class DctBasisCache {
+ public:
+  static DctBasisCache& instance();
+
+  /// make_dct2_basis(n, k), built on first request; the reference is stable
+  /// for the life of the process.
+  const std::vector<double>& get(std::size_t n, std::size_t k);
+
+ private:
+  using Key = std::pair<std::size_t, std::size_t>;
+  std::shared_mutex mu_;
+  std::map<Key, std::unique_ptr<std::vector<double>>> bases_;
 };
 
 }  // namespace mpros::dsp

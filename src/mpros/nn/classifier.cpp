@@ -75,9 +75,10 @@ std::vector<double> WnnClassifier::features(std::span<const double> waveform,
   for (std::size_t i = 0; i < log_spec.size(); ++i) {
     log_spec[i] = std::log10(spec.amplitude[i] + 1e-9);
   }
-  const std::vector<double> dct =
-      dsp::dct2_truncated(log_spec, cfg_.dct_coeffs);
-  f.insert(f.end(), dct.begin(), dct.end());
+  const std::size_t dct_at = f.size();
+  f.resize(dct_at + cfg_.dct_coeffs);
+  dsp::dct2_truncated(log_spec,
+                      std::span<double>(f).subspan(dct_at, cfg_.dct_coeffs));
 
   // Wavelet map: per-scale relative energies + entropy. Truncate the window
   // to a multiple of 2^levels.

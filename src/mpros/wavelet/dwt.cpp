@@ -145,15 +145,27 @@ void decompose(std::span<const double> x, Family f, std::size_t levels,
     std::vector<double>& detail = d.details[level];
     detail.resize(half);
     if (next_approx.size() < half) next_approx.resize(half);
-    for (std::size_t i = 0; i < half; ++i) {
+    // Outputs whose taps all land inside [0, n) (2i + len <= n) read a
+    // plain window; only the last few wrap around the periodic extension.
+    // Both sum the taps in the same order as dwt_step.
+    const double* const src = d.approx.data();
+    const auto filter = [&](std::size_t i, const auto& tap) {
       double a = 0.0, dv = 0.0;
       for (std::size_t k = 0; k < len; ++k) {
-        const std::size_t j = (2 * i + k) % n;  // periodic extension
-        a += h[k] * d.approx[j];
-        dv += g[k] * d.approx[j];
+        const double v = tap(k);
+        a += h[k] * v;
+        dv += g[k] * v;
       }
       next_approx[i] = a;
       detail[i] = dv;
+    };
+    const std::size_t interior = n >= len ? (n - len) / 2 + 1 : 0;
+    for (std::size_t i = 0; i < interior; ++i) {
+      const double* const window = src + 2 * i;
+      filter(i, [window](std::size_t k) { return window[k]; });
+    }
+    for (std::size_t i = interior; i < half; ++i) {
+      filter(i, [src, i, n](std::size_t k) { return src[(2 * i + k) % n]; });
     }
     std::copy(next_approx.begin(), next_approx.begin() +
               static_cast<std::ptrdiff_t>(half), d.approx.begin());

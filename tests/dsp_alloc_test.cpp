@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mpros/dsp/cepstrum.hpp"
+#include "mpros/dsp/dct.hpp"
 #include "mpros/dsp/envelope.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/stft.hpp"
@@ -72,6 +73,7 @@ TEST(DspAllocationTest, SteadyStateSpectralPipelineIsAllocationFree) {
   std::vector<double> ceps;
   dsp::Spectrogram gram;
   dsp::StftConfig stft_cfg;
+  std::vector<double> dct(8);  // the WNN's spectral-shape coefficients
 
   const auto run_all = [&] {
     dsp::amplitude_spectrum(x, kRate, cfg, spec);
@@ -79,10 +81,12 @@ TEST(DspAllocationTest, SteadyStateSpectralPipelineIsAllocationFree) {
     dsp::envelope_bandpassed(x, kRate, 2000.0, 6000.0, env);
     dsp::real_cepstrum(x, 0, ceps);
     dsp::stft(x, kRate, stft_cfg, gram);
+    dsp::dct2_truncated(spec.amplitude, dct);
   };
 
-  // Two warm-up passes: the first builds plans, windows and scratch lanes,
-  // the second lets every output container reach its final capacity.
+  // Two warm-up passes: the first builds plans, windows, the DCT basis and
+  // scratch lanes, the second lets every output container reach its final
+  // capacity.
   run_all();
   run_all();
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "mpros/common/rng.hpp"
@@ -82,6 +83,173 @@ TEST(FftTest, RealSignalZeroPadding) {
   const std::vector<double> x = sine(300, 50.0, 1000.0);
   const std::vector<Complex> spec = fft_real(x);
   EXPECT_EQ(spec.size(), 512u);  // padded to next power of two
+}
+
+// The textbook radix-2 loop over std::complex that FftPlan replaced, kept
+// verbatim as the oracle for the bit-identity test below: strided reads of
+// one n/2-entry twiddle table and a per-butterfly conj() for the inverse.
+class SeedRadix2 {
+ public:
+  explicit SeedRadix2(std::size_t n) : n_(n), bit_reverse_(n), twiddle_(n / 2) {
+    std::size_t log2n = 0;
+    while ((std::size_t{1} << log2n) < n) ++log2n;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t r = 0;
+      for (std::size_t b = 0; b < log2n; ++b) {
+        if (i & (std::size_t{1} << b)) r |= std::size_t{1} << (log2n - 1 - b);
+      }
+      bit_reverse_[i] = r;
+    }
+    for (std::size_t k = 0; k < n / 2; ++k) {
+      const double angle = -kTwoPi * static_cast<double>(k) /
+                           static_cast<double>(n);
+      twiddle_[k] = Complex(std::cos(angle), std::sin(angle));
+    }
+  }
+
+  void transform(std::vector<Complex>& x, bool invert) const {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::size_t j = bit_reverse_[i];
+      if (i < j) std::swap(x[i], x[j]);
+    }
+    for (std::size_t len = 2; len <= n_; len <<= 1) {
+      const std::size_t stride = n_ / len;
+      for (std::size_t start = 0; start < n_; start += len) {
+        for (std::size_t k = 0; k < len / 2; ++k) {
+          Complex w = twiddle_[k * stride];
+          if (invert) w = std::conj(w);
+          const Complex u = x[start + k];
+          const Complex v = x[start + k + len / 2] * w;
+          x[start + k] = u + v;
+          x[start + k + len / 2] = u - v;
+        }
+      }
+    }
+    if (invert) {
+      const double inv_n = 1.0 / static_cast<double>(n_);
+      for (Complex& c : x) c *= inv_n;
+    }
+  }
+
+  // The packed real transform of the seed's RealFftPlan, on this oracle.
+  std::vector<Complex> real_forward(const std::vector<double>& x) const {
+    const std::size_t m = n_;
+    const std::size_t n = 2 * m;
+    std::vector<Complex> z(m);
+    for (std::size_t j = 0; j < m; ++j) z[j] = Complex(x[2 * j], x[2 * j + 1]);
+    transform(z, false);
+    std::vector<Complex> half(m + 1);
+    for (std::size_t k = 0; k <= m; ++k) {
+      const Complex zk = z[k == m ? 0 : k];
+      const Complex zmk = std::conj(z[(m - k) % m]);
+      const Complex even = 0.5 * (zk + zmk);
+      const Complex odd = Complex(0.0, -0.5) * (zk - zmk);
+      half[k] = even + split_twiddle(k, n) * odd;
+    }
+    return half;
+  }
+
+  std::vector<double> real_inverse(const std::vector<Complex>& half) const {
+    const std::size_t m = n_;
+    const std::size_t n = 2 * m;
+    std::vector<Complex> z(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      const Complex xk = half[k];
+      const Complex xmk = std::conj(half[m - k]);
+      const Complex even = 0.5 * (xk + xmk);
+      const Complex odd = 0.5 * (xk - xmk) * std::conj(split_twiddle(k, n));
+      z[k] = even + Complex(0.0, 1.0) * odd;
+    }
+    transform(z, true);
+    std::vector<double> x(n);
+    for (std::size_t j = 0; j < m; ++j) {
+      x[2 * j] = z[j].real();
+      x[2 * j + 1] = z[j].imag();
+    }
+    return x;
+  }
+
+ private:
+  static Complex split_twiddle(std::size_t k, std::size_t n) {
+    const double angle = -kTwoPi * static_cast<double>(k) /
+                         static_cast<double>(n);
+    return Complex(std::cos(angle), std::sin(angle));
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> bit_reverse_;
+  std::vector<Complex> twiddle_;
+};
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// Random parts with a sprinkling of +0.0 and -0.0.
+std::vector<Complex> oracle_input(Rng& rng, std::size_t n) {
+  std::vector<Complex> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double re = rng.uniform(-1, 1);
+    double im = rng.uniform(-1, 1);
+    if (i % 7 == 3) re = (i % 2 == 0) ? 0.0 : -0.0;
+    if (i % 11 == 5) im = -0.0;
+    x[i] = Complex(re, im);
+  }
+  return x;
+}
+
+// Zeros of mixed sign: the transform is all zeros, and the sign of each is
+// set by the exact operation sequence, so a kernel that skips a multiply by
+// a trivial twiddle (and so loses a zero's sign) is caught.
+std::vector<Complex> signed_zero_input(std::size_t n) {
+  std::vector<Complex> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = Complex(i % 3 == 0 ? 0.0 : -0.0, i % 5 == 1 ? 0.0 : -0.0);
+  }
+  return x;
+}
+
+TEST(FftTest, KernelBitIdenticalToSeedRadix2) {
+  Rng rng(2024);
+  for (std::size_t n = 2; n <= 65536; n <<= 1) {
+    const SeedRadix2 oracle(n);
+    const FftPlan plan(n);
+    for (const std::vector<Complex>& x :
+         {oracle_input(rng, n), signed_zero_input(n)}) {
+      std::vector<Complex> expected = x;
+      oracle.transform(expected, false);
+      std::vector<Complex> actual = x;
+      plan.forward(actual);
+      EXPECT_TRUE(same_bits<Complex>(expected, actual)) << "forward n=" << n;
+
+      expected = x;
+      oracle.transform(expected, true);
+      actual = x;
+      plan.inverse(actual);
+      EXPECT_TRUE(same_bits<Complex>(expected, actual)) << "inverse n=" << n;
+    }
+
+    if (n < 4) continue;
+    // Real plans of 2n samples run on the n-point complex kernel.
+    const RealFftPlan rplan(2 * n);
+    std::vector<double> signal(2 * n);
+    for (std::size_t i = 0; i < signal.size(); ++i) {
+      signal[i] = i % 13 == 6 ? -0.0 : rng.uniform(-1, 1);
+    }
+    std::vector<Complex> half(rplan.bins());
+    std::vector<Complex> scratch(rplan.scratch_size());
+    rplan.forward(signal, half, scratch);
+    const std::vector<Complex> expected_half = oracle.real_forward(signal);
+    EXPECT_TRUE(same_bits<Complex>(expected_half, half))
+        << "real forward n=" << 2 * n;
+
+    std::vector<double> back(2 * n);
+    rplan.inverse(expected_half, back, scratch);
+    EXPECT_TRUE(same_bits<double>(oracle.real_inverse(expected_half), back))
+        << "real inverse n=" << 2 * n;
+  }
 }
 
 TEST(RfftTest, HalfSpectrumMatchesFullComplexFft) {
@@ -346,6 +514,45 @@ TEST(DctTest, TruncationKeepsLeadingCoefficients) {
   const std::vector<double> trunc = dct2_truncated(x, 16);
   ASSERT_EQ(trunc.size(), 16u);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(trunc[i], full[i]);
+}
+
+// The cached basis must reproduce the cos() evaluated inline per term, in
+// the same summation order, bit for bit.
+TEST(DctTest, CachedBasisBitIdenticalToDirect) {
+  Rng rng(9);
+  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{4097, 8},
+                             {513, 16}, {64, 64}, {7, 3}, {1, 1}}) {
+    std::vector<double> x(n);
+    for (double& v : x) v = rng.uniform(-4, 1);
+
+    std::vector<double> direct(k);
+    const double norm0 = std::sqrt(1.0 / static_cast<double>(n));
+    const double norm = std::sqrt(2.0 / static_cast<double>(n));
+    for (std::size_t m = 0; m < k; ++m) {
+      double sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        sum += x[i] * std::cos(kPi * (static_cast<double>(i) + 0.5) *
+                               static_cast<double>(m) /
+                               static_cast<double>(n));
+      }
+      direct[m] = sum * (m == 0 ? norm0 : norm);
+    }
+
+    // Twice: the first call may build the basis, the second must read it
+    // from the cache.
+    auto& hits = telemetry::Registry::instance().counter("dsp.dct_cache_hit");
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::uint64_t hits_before = hits.value();
+      const std::vector<double> cached = dct2_truncated(x, k);
+      ASSERT_EQ(cached.size(), k);
+      EXPECT_EQ(std::memcmp(cached.data(), direct.data(), k * sizeof(double)),
+                0)
+          << "n=" << n << " k=" << k << " pass " << pass;
+      if (pass == 1) {
+        EXPECT_EQ(hits.value(), hits_before + 1);
+      }
+    }
+  }
 }
 
 TEST(EnvelopeTest, AmplitudeModulationRecovered) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/common/units.hpp"
@@ -73,6 +74,40 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, DwtFamilyTest,
                          [](const auto& inst) {
                            return to_string(inst.param);
                          });
+
+// decompose() runs its interior taps without the periodic index; dwt_step
+// keeps the modulo on every tap and is the reference. Odd level counts on
+// short signals drive the pyramid below the filter length, where every tap
+// of an output wraps.
+TEST(WaveletTest, DecomposeBitIdenticalToDwtStep) {
+  Rng rng(8);
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {4096, 7}, {8192, 5}, {96, 5}, {32, 5}, {1024, 1}, {24, 3}};
+  Decomposition d;
+  for (const Family f : {Family::Haar, Family::Db2, Family::Db4}) {
+    for (const auto& [size, levels] : shapes) {
+      std::vector<double> x(size);
+      for (double& v : x) v = rng.uniform(-1, 1);
+      decompose(x, f, levels, d);
+      ASSERT_EQ(d.levels(), levels);
+
+      std::vector<double> approx = x;
+      for (std::size_t level = 0; level < levels; ++level) {
+        DwtLevel step = dwt_step(approx, f);
+        EXPECT_TRUE(same_bits(d.details[level], step.detail))
+            << to_string(f) << " n=" << size << " level " << level;
+        approx = std::move(step.approx);
+      }
+      EXPECT_TRUE(same_bits(d.approx, approx))
+          << to_string(f) << " n=" << size << " levels " << levels;
+    }
+  }
+}
 
 TEST(DwtTest, HaarAveragesAndDifferences) {
   const std::vector<double> x = {1.0, 3.0, 5.0, 7.0};
