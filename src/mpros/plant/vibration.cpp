@@ -46,14 +46,6 @@ MachinePoint origin_of(FailureMode m) {
   }
 }
 
-/// One additive tone.
-struct Tone {
-  double freq_hz;
-  double amplitude;
-  double phase;
-  bool gated;  ///< fault tone, subject to the transient burst envelope
-};
-
 /// Square burst gate: on for `duty` of each period, deterministic phase.
 double burst_gate(double t, const TransientProfile& p) {
   if (p.duty >= 1.0) return 1.0;
@@ -61,11 +53,162 @@ double burst_gate(double t, const TransientProfile& p) {
   return phase < p.duty * p.period_s ? 1.0 : 0.0;
 }
 
+/// Burst gate for samples first .. first + gate.size() of a window.
+void fill_gate(double t0_seconds, double dt, std::size_t first,
+               const TransientProfile& p, std::span<double> gate) {
+  for (std::size_t j = 0; j < gate.size(); ++j) {
+    gate[j] = burst_gate(
+        t0_seconds + static_cast<double>(first + j) * dt, p);
+  }
+}
+
+/// Rotation by one sample period: (cos w*dt, sin w*dt).
+struct Rotation {
+  double c;
+  double s;
+};
+
+Rotation rotation(double freq_hz, double dt) {
+  const double w = kTwoPi * freq_hz * dt;
+  return {std::cos(w), std::sin(w)};
+}
+
+/// Rotations by 0 .. kRenderBlock - 1 sample periods, (cos j*w*dt,
+/// sin j*w*dt), each entry exact from libm, so no error accumulates along a
+/// block.
+struct BlockRotation {
+  std::array<double, kRenderBlock> c;
+  std::array<double, kRenderBlock> s;
+
+  BlockRotation(double freq_hz, double dt) {
+    const double w = kTwoPi * freq_hz * dt;
+    for (std::size_t j = 0; j < kRenderBlock; ++j) {
+      c[j] = std::cos(static_cast<double>(j) * w);
+      s[j] = std::sin(static_cast<double>(j) * w);
+    }
+  }
+};
+
+/// The SplitMix64 increment: draw n keys on key + n * kGolden.
+constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+/// Uniform in [0, 1) from the top 53 bits.
+double unit_interval(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
+
+void render_tones(std::span<const Tone> tones, double t0_seconds,
+                  double sample_rate_hz, const TransientProfile& transient,
+                  std::span<double> out) {
+  MPROS_EXPECTS(sample_rate_hz > 0.0);
+  const double dt = 1.0 / sample_rate_hz;
+  std::vector<BlockRotation> rotations;
+  rotations.reserve(tones.size());
+  for (const Tone& tone : tones) rotations.emplace_back(tone.freq_hz, dt);
+
+  std::array<double, kRenderBlock> gate;
+  gate.fill(1.0);
+  for (std::size_t first = 0; first < out.size(); first += kRenderBlock) {
+    const std::size_t n = std::min(kRenderBlock, out.size() - first);
+    const bool gating = transient.duty < 1.0;
+    if (gating) {
+      fill_gate(t0_seconds, dt, first, transient,
+                std::span<double>(gate).first(n));
+    }
+    // Whole blocks keep the trip count fixed, so the loops below vectorize;
+    // a partial last block computes past `n` into the stack and drops it.
+    std::array<double, kRenderBlock> sum;
+    sum.fill(0.0);
+    const double t = t0_seconds + static_cast<double>(first) * dt;
+    for (std::size_t k = 0; k < tones.size(); ++k) {
+      const Tone& tone = tones[k];
+      // Anchor: the exact sin/cos of the per-sample argument at the block's
+      // first sample; sample j is the anchor rotated by j sample periods.
+      const double arg = kTwoPi * tone.freq_hz * t + tone.phase;
+      const double s = std::sin(arg);
+      const double c = std::cos(arg);
+      const double amp = tone.amplitude;
+      const BlockRotation& r = rotations[k];
+      if (tone.gated && gating) {
+        for (std::size_t j = 0; j < kRenderBlock; ++j) {
+          sum[j] += gate[j] * amp * (s * r.c[j] + c * r.s[j]);
+        }
+      } else {
+        for (std::size_t j = 0; j < kRenderBlock; ++j) {
+          sum[j] += amp * (s * r.c[j] + c * r.s[j]);
+        }
+      }
+    }
+    std::copy_n(sum.begin(), n, out.begin() + static_cast<std::ptrdiff_t>(first));
+  }
+}
+
+void add_ring_down(double t0_seconds, double sample_rate_hz, double onset_s,
+                   double amplitude, double tau_s, double freq_hz,
+                   std::span<double> out) {
+  MPROS_EXPECTS(sample_rate_hz > 0.0 && tau_s > 0.0);
+  const double dt = 1.0 / sample_rate_hz;
+  const auto first =
+      static_cast<std::ptrdiff_t>((onset_s - t0_seconds) * sample_rate_hz);
+  const auto last =
+      first + static_cast<std::ptrdiff_t>(6.0 * tau_s * sample_rate_hz);
+  const auto end =
+      std::min<std::ptrdiff_t>(last, static_cast<std::ptrdiff_t>(out.size()));
+  auto i = std::max<std::ptrdiff_t>(first, 0);
+  double t = 0.0;
+  for (; i < end; ++i) {
+    t = t0_seconds + static_cast<double>(i) * dt - onset_s;
+    if (t >= 0.0) break;
+  }
+  if (i >= end) return;
+
+  const double decay = std::exp(-dt / tau_s);
+  const Rotation step = rotation(freq_hz, dt);
+  const double arg = kTwoPi * freq_hz * t;
+  double envelope = amplitude * std::exp(-t / tau_s);
+  double s = std::sin(arg);
+  double c = std::cos(arg);
+  for (; i < end; ++i) {
+    out[static_cast<std::size_t>(i)] += envelope * s;
+    envelope *= decay;
+    const double c_next = c * step.c - s * step.s;
+    s = s * step.c + c * step.s;
+    c = c_next;
+  }
+}
+
+void NormalStream::fill(std::span<double> out) {
+  // Pair p uses keys 2p and 2p + 1 and yields draws 2p (cosine branch) and
+  // 2p + 1 (sine branch).
+  const auto pair = [this](std::uint64_t p, double& even, double& odd) {
+    const std::uint64_t a = splitmix64(key_ + (2 * p) * kGolden);
+    const std::uint64_t b = splitmix64(key_ + (2 * p + 1) * kGolden);
+    const double u1 = 1.0 - unit_interval(a);  // (0, 1]: log stays finite
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = kTwoPi * unit_interval(b);
+    even = r * std::cos(theta);
+    odd = r * std::sin(theta);
+  };
+  std::size_t i = 0;
+  double spare = 0.0;
+  if (next_ % 2 == 1 && !out.empty()) {
+    pair(next_ / 2, spare, out[0]);
+    i = 1;
+  }
+  for (; i + 1 < out.size(); i += 2) {
+    pair((next_ + i) / 2, out[i], out[i + 1]);
+  }
+  if (i < out.size()) pair((next_ + i) / 2, out[i], spare);
+  next_ += out.size();
+}
 
 VibrationSynthesizer::VibrationSynthesizer(domain::MachineSignature signature,
                                            std::uint64_t seed)
-    : signature_(signature), rng_(seed) {}
+    : signature_(signature),
+      rng_(seed),
+      noise_(splitmix64(seed ^ 0x6E6F697365ULL)) {}
 
 void VibrationSynthesizer::acceleration(MachinePoint point,
                                         const Severities& severities,
@@ -169,28 +312,12 @@ void VibrationSynthesizer::acceleration(MachinePoint point,
   if (cavitation > 0.0) add_tone(vpf, 0.20 * cavitation, 50);
 
   // Render tones; fault tones ride the transient burst envelope.
-  const double dt = 1.0 / sample_rate_hz;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double t = t0_seconds + static_cast<double>(i) * dt;
-    const double gate = burst_gate(t, transient);
-    double v = 0.0;
-    for (const Tone& tone : tones) {
-      const double g = tone.gated ? gate : 1.0;
-      if (g == 0.0) continue;
-      v += g * tone.amplitude *
-           std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
-    }
-    out[i] = v;
-  }
+  render_tones(tones, t0_seconds, sample_rate_hz, transient, out);
 
   // Broadband noise: baseline + cavitation contribution (white, so it
   // lands across the band including the 5-12 kHz window the rules watch).
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double t = t0_seconds + static_cast<double>(i) * dt;
-    const double noise_sigma =
-        0.02 + 0.13 * cavitation * burst_gate(t, transient);
-    out[i] += rng_.normal(0.0, noise_sigma);
-  }
+  add_noise(0.02, 0.13 * cavitation, t0_seconds, sample_rate_hz, transient,
+            out);
 
   // Bearing defects: repetitive impacts exciting a structural resonance.
   struct BearingSource {
@@ -202,6 +329,7 @@ void VibrationSynthesizer::acceleration(MachinePoint point,
       {FailureMode::CompressorBearingWear, signature_.hss_bearing.bsf},
   };
   const double resonance_hz = std::min(4200.0, sample_rate_hz * 0.4);
+  const double dt = 1.0 / sample_rate_hz;
   for (const BearingSource& b : bearings) {
     const double s = sev(b.mode) * att(b.mode);
     if (s <= 0.0) continue;
@@ -229,20 +357,8 @@ void VibrationSynthesizer::acceleration(MachinePoint point,
         const double jitter = rng_.uniform(-0.02, 0.02) * period_s;
         const double center = impact_t + jitter;
         if (burst_gate(center, transient) == 0.0) continue;  // off-phase
-        const auto first =
-            static_cast<std::ptrdiff_t>((center - t0_seconds) * sample_rate_hz);
-        const auto last = first + static_cast<std::ptrdiff_t>(
-                                      6.0 * tau * sample_rate_hz);
-        for (std::ptrdiff_t i = std::max<std::ptrdiff_t>(first, 0);
-             i < std::min<std::ptrdiff_t>(
-                     last, static_cast<std::ptrdiff_t>(out.size()));
-             ++i) {
-          const double t = t0_seconds + static_cast<double>(i) * dt - center;
-          if (t < 0.0) continue;
-          out[static_cast<std::size_t>(i)] +=
-              impact_amp * std::exp(-t / tau) *
-              std::sin(kTwoPi * resonance_hz * t);
-        }
+        add_ring_down(t0_seconds, sample_rate_hz, center, impact_amp, tau,
+                      resonance_hz, out);
       }
     }
   }
@@ -277,16 +393,39 @@ void VibrationSynthesizer::motor_current(const Severities& severities,
   const double pole_pass =
       2.0 * signature_.slip_hz(load) * signature_.pole_pairs;
 
+  // Winding asymmetry adds a small third harmonic.
+  const double stator = sev(FailureMode::StatorWindingFault);
+  const Tone tones[] = {
+      {line, fundamental, 0.0, false},
+      {line - pole_pass, sideband_amp, 0.7, false},
+      {line + pole_pass, sideband_amp, 1.9, false},
+      {3.0 * line, fundamental * 0.04 * stator, 0.3, false},
+  };
+  render_tones(std::span<const Tone>(tones).first(stator > 0.0 ? 4 : 3),
+               t0_seconds, sample_rate_hz, TransientProfile{}, out);
+
+  add_noise(fundamental * 0.002, 0.0, t0_seconds, sample_rate_hz,
+            TransientProfile{}, out);
+}
+
+void VibrationSynthesizer::add_noise(double sigma, double gated_sigma,
+                                     double t0_seconds, double sample_rate_hz,
+                                     const TransientProfile& transient,
+                                     std::span<double> out) {
   const double dt = 1.0 / sample_rate_hz;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double t = t0_seconds + static_cast<double>(i) * dt;
-    double v = fundamental * std::sin(kTwoPi * line * t);
-    v += sideband_amp * std::sin(kTwoPi * (line - pole_pass) * t + 0.7);
-    v += sideband_amp * std::sin(kTwoPi * (line + pole_pass) * t + 1.9);
-    // Winding asymmetry adds a small third harmonic.
-    v += fundamental * 0.04 * sev(FailureMode::StatorWindingFault) *
-         std::sin(kTwoPi * 3.0 * line * t + 0.3);
-    out[i] = v + rng_.normal(0.0, fundamental * 0.002);
+  std::array<double, kRenderBlock> z;
+  std::array<double, kRenderBlock> gate;
+  gate.fill(1.0);
+  for (std::size_t first = 0; first < out.size(); first += kRenderBlock) {
+    const std::size_t n = std::min(kRenderBlock, out.size() - first);
+    noise_.fill(std::span<double>(z).first(n));
+    if (gated_sigma > 0.0 && transient.duty < 1.0) {
+      fill_gate(t0_seconds, dt, first, transient,
+                std::span<double>(gate).first(n));
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      out[first + j] += (sigma + gated_sigma * gate[j]) * z[j];
+    }
   }
 }
 

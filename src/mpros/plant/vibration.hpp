@@ -50,6 +50,55 @@ struct TransientProfile {
   double period_s = 0.05;
 };
 
+/// The renderer works in blocks of this many samples: tones re-anchor on
+/// their exact sin/cos at every block start, and all scratch (burst gate,
+/// noise draws) is a stack array of this length.
+inline constexpr std::size_t kRenderBlock = 64;
+
+/// One additive tone, amplitude * sin(2*pi*freq_hz*t + phase).
+struct Tone {
+  double freq_hz;
+  double amplitude;
+  double phase;
+  bool gated;  ///< fault tone, subject to the transient burst envelope
+};
+
+/// Write the sum of `tones` (in order) at t = t0 + i / sample_rate_hz into
+/// `out`. Each tone is a phasor rotated by (cos w*dt, sin w*dt) and
+/// re-anchored every kRenderBlock samples, so one sin/cos pair serves a
+/// block instead of one sin per sample.
+void render_tones(std::span<const Tone> tones, double t0_seconds,
+                  double sample_rate_hz, const TransientProfile& transient,
+                  std::span<double> out);
+
+/// Add one bearing-impact ring-down,
+/// amplitude * exp(-t/tau_s) * sin(2*pi*freq_hz*t) with t = sample time -
+/// onset_s, over the 6*tau_s following the onset (samples with t < 0 are
+/// skipped). The decaying phasor is anchored at the first sample and then
+/// advanced by one multiply-and-rotate per sample.
+void add_ring_down(double t0_seconds, double sample_rate_hz, double onset_s,
+                   double amplitude, double tau_s, double freq_hz,
+                   std::span<double> out);
+
+/// Counter-based standard-normal stream. Draw k is a pure function of
+/// (key, k): Box-Muller on two 53-bit splitmix64 uniforms per pair, with
+/// u1 in (0, 1] and both outputs of each pair used. There is no rejection,
+/// so a window of n samples always consumes exactly n draws.
+class NormalStream {
+ public:
+  explicit NormalStream(std::uint64_t key) : key_(key) {}
+
+  /// Fill `out` with the next out.size() draws.
+  void fill(std::span<double> out);
+
+  /// Draws consumed so far.
+  [[nodiscard]] std::uint64_t position() const { return next_; }
+
+ private:
+  std::uint64_t key_;
+  std::uint64_t next_ = 0;
+};
+
 class VibrationSynthesizer {
  public:
   VibrationSynthesizer(domain::MachineSignature signature, std::uint64_t seed);
@@ -72,8 +121,15 @@ class VibrationSynthesizer {
   }
 
  private:
+  /// Add white noise of standard deviation sigma + gated_sigma * (burst
+  /// gate) to `out`, drawn from noise_ in kRenderBlock-sample blocks.
+  void add_noise(double sigma, double gated_sigma, double t0_seconds,
+                 double sample_rate_hz, const TransientProfile& transient,
+                 std::span<double> out);
+
   domain::MachineSignature signature_;
-  Rng rng_;
+  Rng rng_;             ///< bearing-impact timing jitter
+  NormalStream noise_;  ///< broadband sensor noise
 };
 
 }  // namespace mpros::plant

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "mpros/common/units.hpp"
 #include "mpros/dsp/spectrum.hpp"
@@ -168,6 +173,197 @@ TEST(VibrationTest, PhaseContinuousAcrossAcquisitions) {
   const auto sj = dsp::amplitude_spectrum(joint, kRate);
   const double shaft = domain::navy_chiller_signature().shaft_hz;
   EXPECT_NEAR(dsp::order_amplitude(sj, shaft, 1.0), 0.05, 0.02);
+}
+
+// Tones a synthesizer window carries: healthy baseline, fault tones that
+// ride the burst gate, and the 60 Hz current fundamental with its large
+// amplitude.
+const Tone kOracleTones[] = {
+    {29.6, 0.05, 0.37, false},   {59.2, 0.02, 1.21, false},
+    {1065.6, 0.03, 2.9, false},  {213.1, 0.016, 4.4, false},
+    {88.8, 0.14, 0.05, true},    {4201.7, 0.3, 5.5, true},
+    {60.0, 254.5, 0.0, false},   {58.6, 0.25, 0.7, false},
+    {19999.0, 0.01, 3.1, true},
+};
+
+/// The per-sample reference the renderer replaced.
+std::vector<double> per_sample_tones(double t0, double rate,
+                                     const TransientProfile& transient,
+                                     std::size_t n) {
+  std::vector<double> out(n);
+  const double dt = 1.0 / rate;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = t0 + static_cast<double>(i) * dt;
+    const double phase = t - std::floor(t / transient.period_s) *
+                                 transient.period_s;
+    const double gate =
+        transient.duty >= 1.0 || phase < transient.duty * transient.period_s
+            ? 1.0
+            : 0.0;
+    double v = 0.0;
+    for (const Tone& tone : kOracleTones) {
+      const double g = tone.gated ? gate : 1.0;
+      if (g == 0.0) continue;
+      v += g * tone.amplitude * std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
+    }
+    out[i] = v;
+  }
+  return out;
+}
+
+TEST(VibrationTest, BlockRenderedTonesMatchPerSampleSine) {
+  // The old formula's own argument rounding grows with |arg|, so the bound
+  // is 4 ulp of the largest argument (scaled by each tone's amplitude) plus
+  // an absolute floor. 8192 + 37 samples leaves a partial last block.
+  constexpr std::size_t kSamples = 8192 + 37;
+  for (const double t0 : {0.0, 1200.0, 86400.0}) {
+    for (const double duty : {1.0, 0.3}) {
+      const TransientProfile transient{duty, 0.05};
+      std::vector<double> got(kSamples);
+      render_tones(kOracleTones, t0, kRate, transient, got);
+      const std::vector<double> want =
+          per_sample_tones(t0, kRate, transient, kSamples);
+      const double t_max = t0 + static_cast<double>(kSamples) / kRate;
+      double bound = 1e-12;
+      for (const Tone& tone : kOracleTones) {
+        const double max_arg = kTwoPi * tone.freq_hz * t_max + tone.phase;
+        bound += tone.amplitude * 4.0 * 0x1.0p-52 * max_arg;
+      }
+      double worst = 0.0;
+      for (std::size_t i = 0; i < kSamples; ++i) {
+        worst = std::max(worst, std::fabs(got[i] - want[i]));
+      }
+      EXPECT_LE(worst, bound) << "t0 " << t0 << " duty " << duty;
+    }
+  }
+}
+
+TEST(VibrationTest, RingDownMatchesPerSampleExpSine) {
+  constexpr double kTau = 1.2e-3;
+  constexpr double kResonance = 4200.0;
+  constexpr std::size_t kSamples = 8192;
+  const double dt = 1.0 / kRate;
+  for (const double t0 : {0.0, 1200.0, 86400.0}) {
+    // Onsets before the window (a tail), mid-window between samples, and
+    // close enough to the end that the ring-down is cut off.
+    for (const double offset : {-2.0e-3, 0.0, 0.0123456789, 0.19990}) {
+      const double onset = t0 + offset;
+      std::vector<double> got(kSamples, 0.0);
+      add_ring_down(t0, kRate, onset, 0.9, kTau, kResonance, got);
+
+      std::vector<double> want(kSamples, 0.0);
+      const auto first =
+          static_cast<std::ptrdiff_t>((onset - t0) * kRate);
+      const auto last =
+          first + static_cast<std::ptrdiff_t>(6.0 * kTau * kRate);
+      for (std::ptrdiff_t i = std::max<std::ptrdiff_t>(first, 0);
+           i < std::min<std::ptrdiff_t>(last, kSamples); ++i) {
+        const double t = t0 + static_cast<double>(i) * dt - onset;
+        if (t < 0.0) continue;
+        want[static_cast<std::size_t>(i)] +=
+            0.9 * std::exp(-t / kTau) * std::sin(kTwoPi * kResonance * t);
+      }
+      // The reference's t is a difference of absolute times, so its
+      // rounding scales with the absolute-time argument.
+      const double max_arg =
+          kTwoPi * kResonance * (t0 + static_cast<double>(kSamples) * dt);
+      const double bound = 0.9 * 4.0 * 0x1.0p-52 * max_arg + 1e-12;
+      double worst = 0.0;
+      double energy = 0.0;
+      for (std::size_t i = 0; i < kSamples; ++i) {
+        worst = std::max(worst, std::fabs(got[i] - want[i]));
+        energy += want[i] * want[i];
+      }
+      EXPECT_LE(worst, bound) << "t0 " << t0 << " offset " << offset;
+      EXPECT_GT(energy, 0.0) << "t0 " << t0 << " offset " << offset;
+    }
+  }
+}
+
+TEST(VibrationTest, NoiseStreamIsStandardNormal) {
+  constexpr std::size_t kDraws = std::size_t{1} << 20;
+  NormalStream stream(splitmix64(0xC0FFEE));
+  std::vector<double> z(kDraws);
+  // Odd chunk sizes exercise draws that start on the second half of a pair.
+  for (std::size_t at = 0; at < kDraws;) {
+    const std::size_t n = std::min<std::size_t>(kDraws - at, 61 + at % 7);
+    stream.fill(std::span<double>(z).subspan(at, n));
+    at += n;
+  }
+  ASSERT_EQ(stream.position(), kDraws);
+
+  double mean = 0.0;
+  for (const double v : z) mean += v;
+  mean /= static_cast<double>(kDraws);
+  double m2 = 0.0, m4 = 0.0, lag1 = 0.0;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double d = z[i] - mean;
+    m2 += d * d;
+    m4 += d * d * d * d;
+    if (i + 1 < kDraws) lag1 += d * (z[i + 1] - mean);
+  }
+  const double n = static_cast<double>(kDraws);
+  const double var = m2 / n;
+  // Tolerances are ~5 standard errors at n = 2^20.
+  EXPECT_NEAR(mean, 0.0, 5.0 / std::sqrt(n));
+  EXPECT_NEAR(var, 1.0, 5.0 * std::sqrt(2.0 / n));
+  EXPECT_NEAR((m4 / n) / (var * var), 3.0, 5.0 * std::sqrt(24.0 / n));
+  EXPECT_NEAR(lag1 / m2, 0.0, 5.0 / std::sqrt(n));
+
+  // Kolmogorov-Smirnov against N(0, 1); 1.63 / sqrt(n) is the 1% critical
+  // value.
+  std::sort(z.begin(), z.end());
+  double d_max = 0.0;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double cdf = 0.5 * std::erfc(-z[i] / std::sqrt(2.0));
+    d_max = std::max({d_max, cdf - static_cast<double>(i) / n,
+                      static_cast<double>(i + 1) / n - cdf});
+  }
+  EXPECT_LT(d_max, 1.63 / std::sqrt(n));
+}
+
+TEST(VibrationTest, NoiseDrawIsAPureFunctionOfKeyAndIndex) {
+  NormalStream whole(42);
+  std::vector<double> a(1001);
+  whole.fill(a);
+  NormalStream pieces(42);
+  std::vector<double> b(1001);
+  for (const auto& [at, n] : {std::pair<std::size_t, std::size_t>{0, 1},
+                              {1, 2}, {3, 64}, {67, 333}, {400, 601}}) {
+    pieces.fill(std::span<double>(b).subspan(at, n));
+  }
+  EXPECT_EQ(a, b);
+  NormalStream other(43);
+  std::vector<double> c(1001);
+  other.fill(c);
+  EXPECT_NE(a, c);
+}
+
+TEST(VibrationTest, SameSeedRendersBitwiseEqualWindows) {
+  Severities s{};
+  s[static_cast<std::size_t>(FailureMode::MotorBearingWear)] = 0.6;
+  s[static_cast<std::size_t>(FailureMode::PumpCavitation)] = 0.4;
+  s[static_cast<std::size_t>(FailureMode::StatorWindingFault)] = 0.3;
+  const TransientProfile bursts{0.4, 0.05};
+  const auto render = [&](std::uint64_t seed) {
+    VibrationSynthesizer synth(domain::navy_chiller_signature(), seed);
+    std::vector<double> vib(kWindow), current(32768);
+    synth.acceleration(MachinePoint::Motor, s, 0.8, 1200.0, kRate, vib,
+                       bursts);
+    synth.motor_current(s, 0.8, 1200.0, 4096.0, current);
+    vib.insert(vib.end(), current.begin(), current.end());
+    return vib;
+  };
+  const std::vector<double> a = render(7);
+  const std::vector<double> b = render(7);
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
+
+  // Another seed keeps the tones and changes the noise: every sample moves.
+  const std::vector<double> c = render(8);
+  std::size_t same = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) same += a[i] == c[i] ? 1 : 0;
+  EXPECT_EQ(same, 0U);
 }
 
 TEST(VibrationTest, RotorBarSidebandsInCurrent) {
