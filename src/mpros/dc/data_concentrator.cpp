@@ -88,7 +88,7 @@ SimTime next_slot(SimTime resume, SimTime phase, SimTime period) {
 
 DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
                                    plant::ChillerSimulator& chiller,
-                                   std::shared_ptr<nn::WnnClassifier> wnn,
+                                   std::shared_ptr<const nn::WnnClassifier> wnn,
                                    SimTime start_at)
     : cfg_(cfg),
       refs_(refs),
@@ -112,7 +112,7 @@ DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
 
 DataConcentrator::DataConcentrator(DcConfig cfg, MachineRefs refs,
                                    plant::ChillerSimulator& chiller,
-                                   std::shared_ptr<nn::WnnClassifier> wnn,
+                                   std::shared_ptr<const nn::WnnClassifier> wnn,
                                    Salvage salvage)
     : cfg_(cfg),
       refs_(refs),
@@ -778,7 +778,7 @@ void DataConcentrator::run_vibration_test(SimTime now) {
 
       for (const rules::Diagnosis& d :
            wnn_->diagnose(vib_buffer_, cfg_.sample_rate_hz, ctx, beliefs_,
-                          cfg_.wnn_report_threshold)) {
+                          cfg_.wnn_report_threshold, wnn_scratch_)) {
         if (!point_owns(point, d.mode)) continue;
         emit(now, kWaveletNeuralNet, sensed_object_for(d.mode), d);
       }

@@ -158,7 +158,7 @@ class DataConcentrator {
   /// inside the already-fused interval while the plant re-simulates it.
   DataConcentrator(DcConfig cfg, MachineRefs refs,
                    plant::ChillerSimulator& chiller,
-                   std::shared_ptr<nn::WnnClassifier> wnn = nullptr,
+                   std::shared_ptr<const nn::WnnClassifier> wnn = nullptr,
                    SimTime start_at = SimTime(0));
 
   /// Supervised restart: rebuild a DC around `salvage`. The persisted
@@ -171,7 +171,8 @@ class DataConcentrator {
   /// mid-sequence.
   DataConcentrator(DcConfig cfg, MachineRefs refs,
                    plant::ChillerSimulator& chiller,
-                   std::shared_ptr<nn::WnnClassifier> wnn, Salvage salvage);
+                   std::shared_ptr<const nn::WnnClassifier> wnn,
+                   Salvage salvage);
 
   /// Tear-down half of supervised recovery: strip this DC of everything a
   /// restart needs. The carcass stays destructible but must not be advanced
@@ -314,7 +315,8 @@ class DataConcentrator {
   DcConfig cfg_;
   MachineRefs refs_;
   plant::ChillerSimulator& chiller_;
-  std::shared_ptr<nn::WnnClassifier> wnn_;
+  std::shared_ptr<const nn::WnnClassifier> wnn_;
+  nn::InferenceScratch wnn_scratch_;  ///< this DC's WNN activations
 
   EventScheduler scheduler_;
   EventScheduler::TaskId vibration_task_ = 0;

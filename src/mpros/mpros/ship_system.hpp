@@ -233,7 +233,7 @@ class ShipSystem {
   std::unique_ptr<telemetry::FlightRecorder> recorder_;
   std::unique_ptr<pdme::PdmeExecutive> pdme_;
   std::unique_ptr<pdme::FleetComparativeAnalyzer> resident_;
-  std::shared_ptr<nn::WnnClassifier> wnn_;
+  std::shared_ptr<const nn::WnnClassifier> wnn_;
   std::vector<std::unique_ptr<plant::ChillerSimulator>> plants_;
   std::vector<std::unique_ptr<dc::DataConcentrator>> dcs_;
   ThreadPool pool_;

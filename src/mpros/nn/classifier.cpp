@@ -115,16 +115,32 @@ TrainStats WnnClassifier::train(std::span<const LabelledWindow> windows) {
 
 std::vector<double> WnnClassifier::probabilities(
     std::span<const double> waveform, double sample_rate_hz,
-    const WnnContext& ctx) {
+    const WnnContext& ctx, InferenceScratch& scratch) const {
   MPROS_EXPECTS(trained_);
-  return net_.predict(features(waveform, sample_rate_hz, ctx));
+  return net_.predict(features(waveform, sample_rate_hz, ctx), scratch);
+}
+
+std::vector<double> WnnClassifier::probabilities(
+    std::span<const double> waveform, double sample_rate_hz,
+    const WnnContext& ctx) const {
+  InferenceScratch scratch;
+  return probabilities(waveform, sample_rate_hz, ctx, scratch);
 }
 
 std::vector<rules::Diagnosis> WnnClassifier::diagnose(
     std::span<const double> waveform, double sample_rate_hz,
     const WnnContext& ctx, const rules::BelievabilityTable& beliefs,
-    double threshold) {
-  const std::vector<double> p = probabilities(waveform, sample_rate_hz, ctx);
+    double threshold) const {
+  InferenceScratch scratch;
+  return diagnose(waveform, sample_rate_hz, ctx, beliefs, threshold, scratch);
+}
+
+std::vector<rules::Diagnosis> WnnClassifier::diagnose(
+    std::span<const double> waveform, double sample_rate_hz,
+    const WnnContext& ctx, const rules::BelievabilityTable& beliefs,
+    double threshold, InferenceScratch& scratch) const {
+  const std::vector<double> p =
+      probabilities(waveform, sample_rate_hz, ctx, scratch);
   std::vector<rules::Diagnosis> out;
   for (std::size_t label = 1; label < p.size(); ++label) {
     if (p[label] < threshold) continue;

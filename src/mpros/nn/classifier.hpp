@@ -64,17 +64,28 @@ class WnnClassifier {
   /// Train on labelled windows (features are computed internally).
   TrainStats train(std::span<const LabelledWindow> windows);
 
-  /// Class probabilities (index space per wnn_label()).
+  /// Class probabilities (index space per wnn_label()). Inference is
+  /// const: the network's activations live in the caller's `scratch`, so
+  /// one trained classifier can serve every DC thread at once.
   [[nodiscard]] std::vector<double> probabilities(
       std::span<const double> waveform, double sample_rate_hz,
-      const WnnContext& ctx);
+      const WnnContext& ctx, InferenceScratch& scratch) const;
+  /// probabilities() with a scratch of its own.
+  [[nodiscard]] std::vector<double> probabilities(
+      std::span<const double> waveform, double sample_rate_hz,
+      const WnnContext& ctx) const;
 
   /// Fired diagnoses: every non-Normal class whose probability exceeds
   /// `threshold`, packaged as rules::Diagnosis (belief = probability).
   [[nodiscard]] std::vector<rules::Diagnosis> diagnose(
       std::span<const double> waveform, double sample_rate_hz,
       const WnnContext& ctx, const rules::BelievabilityTable& beliefs,
-      double threshold = 0.30);
+      double threshold, InferenceScratch& scratch) const;
+  /// diagnose() with a scratch of its own.
+  [[nodiscard]] std::vector<rules::Diagnosis> diagnose(
+      std::span<const double> waveform, double sample_rate_hz,
+      const WnnContext& ctx, const rules::BelievabilityTable& beliefs,
+      double threshold = 0.30) const;
 
   [[nodiscard]] std::size_t feature_count() const;
   [[nodiscard]] bool trained() const { return trained_; }

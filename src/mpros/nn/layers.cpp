@@ -20,7 +20,6 @@ DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act,
   vel_w_.assign(out * in, 0.0);
   vel_b_.assign(out, 0.0);
   last_x_.resize(in);
-  pre_act_.resize(out);
   out_buf_.resize(out);
   grad_in_.resize(in);
 }
@@ -28,14 +27,18 @@ DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act,
 std::span<const double> DenseLayer::forward(std::span<const double> x) {
   MPROS_EXPECTS(x.size() == in_);
   std::copy(x.begin(), x.end(), last_x_.begin());
+  infer(x, out_buf_);
+  return out_buf_;
+}
+
+void DenseLayer::infer(std::span<const double> x, std::span<double> out) const {
+  MPROS_EXPECTS(x.size() == in_ && out.size() == out_);
   for (std::size_t o = 0; o < out_; ++o) {
     double sum = b_[o];
     const double* row = &w_[o * in_];
     for (std::size_t i = 0; i < in_; ++i) sum += row[i] * x[i];
-    pre_act_[o] = sum;
-    out_buf_[o] = act_ == Activation::Tanh ? std::tanh(sum) : sum;
+    out[o] = act_ == Activation::Tanh ? std::tanh(sum) : sum;
   }
-  return out_buf_;
 }
 
 std::span<const double> DenseLayer::backward(std::span<const double> grad_out) {
@@ -128,17 +131,27 @@ double WaveletLayer::dpsi(double z) {
   return (z * z * z - 3.0 * z) * std::exp(-0.5 * z * z);
 }
 
+double WaveletLayer::argument(std::size_t u, std::span<const double> x) const {
+  double proj = 0.0;
+  const double* row = &a_[u * in_];
+  for (std::size_t i = 0; i < in_; ++i) proj += row[i] * x[i];
+  return (proj - t_[u]) / lambda_[u];
+}
+
 std::span<const double> WaveletLayer::forward(std::span<const double> x) {
   MPROS_EXPECTS(x.size() == in_);
   std::copy(x.begin(), x.end(), last_x_.begin());
   for (std::size_t u = 0; u < units_; ++u) {
-    double proj = 0.0;
-    const double* row = &a_[u * in_];
-    for (std::size_t i = 0; i < in_; ++i) proj += row[i] * x[i];
-    z_[u] = (proj - t_[u]) / lambda_[u];
+    z_[u] = argument(u, x);
     out_buf_[u] = psi(z_[u]);
   }
   return out_buf_;
+}
+
+void WaveletLayer::infer(std::span<const double> x,
+                         std::span<double> out) const {
+  MPROS_EXPECTS(x.size() == in_ && out.size() == units_);
+  for (std::size_t u = 0; u < units_; ++u) out[u] = psi(argument(u, x));
 }
 
 std::span<const double> WaveletLayer::backward(

@@ -15,8 +15,11 @@
 
 namespace mpros::nn {
 
-/// Interface of a trainable layer. Layers cache their last forward input;
-/// backward() must follow a forward() on the same example.
+/// Interface of a trainable layer. Training goes through forward() and
+/// backward(), which cache the last example in the layer; backward() must
+/// follow a forward() on the same example. Inference goes through the const
+/// infer(), which writes only the caller's output span, so one trained layer
+/// can serve many threads at once.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -24,8 +27,14 @@ class Layer {
   [[nodiscard]] virtual std::size_t input_size() const = 0;
   [[nodiscard]] virtual std::size_t output_size() const = 0;
 
-  /// Forward pass; returns activations (valid until the next forward()).
+  /// Training forward pass; returns activations (valid until the next
+  /// forward()).
   virtual std::span<const double> forward(std::span<const double> x) = 0;
+
+  /// Inference: the same activations as forward(), written to `out`
+  /// (output_size() values); the layer itself is not touched.
+  virtual void infer(std::span<const double> x,
+                     std::span<double> out) const = 0;
 
   /// Backward pass: consume dL/d(output), accumulate parameter gradients,
   /// return dL/d(input).
@@ -55,6 +64,7 @@ class DenseLayer final : public Layer {
   [[nodiscard]] std::size_t output_size() const override { return out_; }
 
   std::span<const double> forward(std::span<const double> x) override;
+  void infer(std::span<const double> x, std::span<double> out) const override;
   std::span<const double> backward(std::span<const double> grad_out) override;
   void apply_gradients(double learning_rate, double momentum,
                        std::size_t batch) override;
@@ -69,7 +79,7 @@ class DenseLayer final : public Layer {
   std::vector<double> w_;       // out x in, row-major
   std::vector<double> b_;       // out
   std::vector<double> grad_w_, grad_b_, vel_w_, vel_b_;
-  std::vector<double> last_x_, pre_act_, out_buf_, grad_in_;
+  std::vector<double> last_x_, out_buf_, grad_in_;
 };
 
 class WaveletLayer final : public Layer {
@@ -80,6 +90,7 @@ class WaveletLayer final : public Layer {
   [[nodiscard]] std::size_t output_size() const override { return units_; }
 
   std::span<const double> forward(std::span<const double> x) override;
+  void infer(std::span<const double> x, std::span<double> out) const override;
   std::span<const double> backward(std::span<const double> grad_out) override;
   void apply_gradients(double learning_rate, double momentum,
                        std::size_t batch) override;
@@ -99,6 +110,9 @@ class WaveletLayer final : public Layer {
   std::vector<double> lambda_;  // dilations (kept >= kMinDilation)
   std::vector<double> grad_a_, grad_t_, grad_l_, vel_a_, vel_t_, vel_l_;
   std::vector<double> last_x_, z_, out_buf_, grad_in_;
+
+  /// Wavelet argument (a_u . x - t_u) / lambda_u of unit u.
+  [[nodiscard]] double argument(std::size_t u, std::span<const double> x) const;
 
   static constexpr double kMinDilation = 0.05;
 };

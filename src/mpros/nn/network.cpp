@@ -51,12 +51,27 @@ std::vector<double> Network::forward_raw(std::span<const double> x) {
   return std::vector<double>(cur.begin(), cur.end());
 }
 
-std::vector<double> Network::predict(std::span<const double> x) {
-  const std::vector<double> std_x = standardize(x);
-  return softmax(forward_raw(std_x));
+std::vector<double> Network::predict(std::span<const double> x,
+                                     InferenceScratch& scratch) const {
+  MPROS_EXPECTS(!layers_.empty());
+  standardize(x, scratch.input);
+  scratch.layers.resize(layers_.size());
+  std::span<const double> cur = scratch.input;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    std::vector<double>& act = scratch.layers[i];
+    act.resize(layers_[i]->output_size());
+    layers_[i]->infer(cur, act);
+    cur = act;
+  }
+  return softmax(cur);
 }
 
-std::size_t Network::classify(std::span<const double> x) {
+std::vector<double> Network::predict(std::span<const double> x) const {
+  InferenceScratch scratch;
+  return predict(x, scratch);
+}
+
+std::size_t Network::classify(std::span<const double> x) const {
   const std::vector<double> p = predict(x);
   return static_cast<std::size_t>(
       std::max_element(p.begin(), p.end()) - p.begin());
@@ -85,14 +100,14 @@ void Network::fit_standardizer(std::span<const Example> examples) {
   }
 }
 
-std::vector<double> Network::standardize(std::span<const double> x) const {
-  if (feat_mean_.empty()) return std::vector<double>(x.begin(), x.end());
+void Network::standardize(std::span<const double> x,
+                          std::vector<double>& out) const {
+  out.assign(x.begin(), x.end());
+  if (feat_mean_.empty()) return;
   MPROS_EXPECTS(x.size() == feat_mean_.size());
-  std::vector<double> out(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     out[i] = (x[i] - feat_mean_[i]) * feat_scale_[i];
   }
-  return out;
 }
 
 TrainStats Network::train(std::span<const Example> examples,
@@ -110,9 +125,10 @@ TrainStats Network::train(std::span<const Example> examples,
     double loss_sum = 0.0;
     std::size_t in_batch = 0;
 
+    std::vector<double> x;
     for (std::size_t n = 0; n < order.size(); ++n) {
       const Example& e = examples[order[n]];
-      const std::vector<double> x = standardize(e.features);
+      standardize(e.features, x);
       const std::vector<double> logits = forward_raw(x);
       const std::vector<double> p = softmax(logits);
       MPROS_EXPECTS(e.label < p.size());
@@ -175,7 +191,7 @@ void Network::import_weights(std::span<const double> weights) {
   MPROS_EXPECTS(pos == weights.size());
 }
 
-double Network::accuracy(std::span<const Example> examples) {
+double Network::accuracy(std::span<const Example> examples) const {
   if (examples.empty()) return 0.0;
   std::size_t correct = 0;
   for (const Example& e : examples) {

@@ -30,6 +30,14 @@ struct Example {
   std::size_t label = 0;
 };
 
+/// Caller-owned activations for Network::predict: one per thread of use
+/// (each DC owns one), so a trained network shared across threads is only
+/// ever read. Buffers grow on first use and are reused afterwards.
+struct InferenceScratch {
+  std::vector<double> input;                ///< standardized features
+  std::vector<std::vector<double>> layers;  ///< per-layer activations
+};
+
 class Network {
  public:
   Network() = default;
@@ -41,11 +49,15 @@ class Network {
   [[nodiscard]] std::size_t input_size() const;
   [[nodiscard]] std::size_t output_size() const;
 
-  /// Class probabilities via softmax over the last layer's outputs.
-  [[nodiscard]] std::vector<double> predict(std::span<const double> x);
+  /// Class probabilities via softmax over the last layer's outputs. The
+  /// activations live in `scratch`; the network is not written.
+  [[nodiscard]] std::vector<double> predict(std::span<const double> x,
+                                            InferenceScratch& scratch) const;
+  /// predict() with a scratch of its own.
+  [[nodiscard]] std::vector<double> predict(std::span<const double> x) const;
 
   /// argmax of predict().
-  [[nodiscard]] std::size_t classify(std::span<const double> x);
+  [[nodiscard]] std::size_t classify(std::span<const double> x) const;
 
   /// Minibatch SGD on softmax cross-entropy. Examples are shuffled with
   /// `rng` each epoch. Feature standardization is fit on the training set
@@ -54,7 +66,7 @@ class Network {
                    Rng& rng);
 
   /// Fraction of examples classified correctly.
-  [[nodiscard]] double accuracy(std::span<const Example> examples);
+  [[nodiscard]] double accuracy(std::span<const Example> examples) const;
 
   /// Serialize all trainable parameters plus the fitted feature
   /// standardizer. The architecture itself is NOT serialized: import into a
@@ -67,8 +79,8 @@ class Network {
  private:
   std::vector<double> forward_raw(std::span<const double> x);
   void fit_standardizer(std::span<const Example> examples);
-  [[nodiscard]] std::vector<double> standardize(
-      std::span<const double> x) const;
+  /// Standardized copy of `x` in `out` (a plain copy before training).
+  void standardize(std::span<const double> x, std::vector<double>& out) const;
 
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<double> feat_mean_, feat_scale_;  // empty until train()

@@ -470,6 +470,46 @@ std::string browser_fingerprint(ShipSystem& ship) {
   return out;
 }
 
+TEST(ShipSystemTest, SharedWnnWithFourWorkersIsDeterministic) {
+  // Four DCs on four pool workers share one trained WNN. Two runs of the
+  // same seeded ship must render byte-identical browser and ICAS output:
+  // concurrent inference may not leak one DC's activations into another's.
+  const auto run = [] {
+    ShipSystemConfig cfg;
+    cfg.plant_count = 4;
+    cfg.worker_threads = 4;
+    cfg.use_wnn = true;
+    cfg.wnn_training.windows_per_class = 4;
+    cfg.wnn_training.classifier.train.epochs = 40;
+    // Short records and a fast test cadence: many WNN calls per sim hour,
+    // each a larger share of a DC's step, so calls overlap often.
+    cfg.dc_template.window = 1024;
+    cfg.dc_template.current_window = 4096;
+    cfg.dc_template.vibration_period = SimTime::from_seconds(5);
+    cfg.dc_template.process_period = SimTime::from_seconds(60);
+    cfg.dc_template.wnn_report_threshold = 0.3;
+    ShipSystem ship(cfg);
+    const FailureMode modes[] = {
+        FailureMode::MotorImbalance, FailureMode::MotorBearingWear,
+        FailureMode::ShaftMisalignment, FailureMode::CompressorBearingWear};
+    for (std::size_t p = 0; p < ship.plant_count(); ++p) {
+      ship.chiller(p).faults().schedule({modes[p], SimTime(0),
+                                         SimTime::from_hours(0.5), 0.8,
+                                         plant::GrowthProfile::Linear});
+    }
+    // Snapshot every five minutes: a diverged report can be outvoted by
+    // later fusion, so the end state alone would hide it.
+    std::string views;
+    for (int minute = 5; minute <= 30; minute += 5) {
+      ship.run_until(SimTime::from_seconds(60.0 * minute));
+      views += browser_fingerprint(ship);
+    }
+    return views;
+  };
+  const std::string first = run();
+  EXPECT_EQ(first, run());
+}
+
 TEST(SupervisorRecoveryTest, WedgeRecoveryIsByteIdenticalToUnwedgedRun) {
   // Two identically-seeded ships run the identical fault script under an
   // identical hard outage isolating dc-1 over [3600 s, 4500 s]. Ship B

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "mpros/common/rng.hpp"
 #include "mpros/mpros/wnn_training.hpp"
@@ -249,6 +252,85 @@ TEST(WeightFlashingTest, ClassifierFlashPreservesDiagnosis) {
   const auto pb = flashed.probabilities(w, 40960.0, ctx);
   for (std::size_t c = 0; c < pa.size(); ++c) {
     EXPECT_NEAR(pa[c], pb[c], 1e-12);
+  }
+}
+
+TEST(WnnClassifierTest, ConcurrentProbabilitiesEqualSerial) {
+  // One trained classifier shared by four threads, as ShipSystem shares it
+  // across its DCs. Inference must not write the shared model: every
+  // concurrent result is bitwise equal to the serial one. Short windows keep
+  // the network's share of each call, and so the chance of overlapping
+  // calls, high; thousands of rounds are needed to see a race.
+  WnnTrainingConfig cfg;
+  cfg.windows_per_class = 4;
+  cfg.classifier.train.epochs = 20;
+  std::shared_ptr<WnnClassifier> wnn = train_wnn_classifier(cfg);
+
+  constexpr std::size_t kWindows = 8;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 4000;
+  plant::VibrationSynthesizer synth(domain::navy_chiller_signature(), 77);
+  std::vector<std::vector<double>> windows(kWindows,
+                                           std::vector<double>(256));
+  std::vector<WnnContext> contexts(kWindows);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    plant::Severities s{};
+    s[w % domain::kFailureModeCount] = 0.3 + 0.05 * static_cast<double>(w);
+    synth.acceleration(plant::MachinePoint::Motor, s, 0.8, 0.0, 40960.0,
+                       windows[w]);
+    contexts[w].bearing_temp_c = 50.0 + static_cast<double>(w);
+  }
+  std::vector<std::vector<double>> serial(kWindows);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    serial[w] = wnn->probabilities(windows[w], 40960.0, contexts[w]);
+  }
+
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        const std::size_t w = (r + k) % kWindows;
+        const std::vector<double> p =
+            wnn->probabilities(windows[w], 40960.0, contexts[w]);
+        if (p.size() != serial[w].size() ||
+            std::memcmp(p.data(), serial[w].data(),
+                        p.size() * sizeof(double)) != 0) {
+          ++mismatches[k];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(mismatches[k], 0U) << "thread " << k;
+  }
+}
+
+TEST(NetworkTest, ReusedScratchGivesFreshScratchBits) {
+  // A scratch carried from one input to the next (as each DC carries its
+  // own) gives the same bits as a fresh one.
+  Rng rng(5);
+  Network net;
+  net.add_wavelet(3, 5, rng);
+  net.add_dense(5, 4, Activation::Tanh, rng);
+  net.add_dense(4, 2, Activation::Linear, rng);
+  std::vector<Example> examples;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<double> f = {rng.uniform(-1, 1), rng.uniform(-1, 1),
+                             rng.uniform(-1, 1)};
+    examples.push_back({f, f[0] + f[2] > 0 ? 0u : 1u});
+  }
+  TrainConfig cfg;
+  cfg.epochs = 30;
+  net.train(examples, cfg, rng);
+
+  InferenceScratch scratch;
+  for (const Example& e : examples) {
+    const std::vector<double> a = net.predict(e.features, scratch);
+    const std::vector<double> b = net.predict(e.features);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
   }
 }
 
