@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "mpros/dsp/scratch.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::dc {
@@ -25,19 +26,28 @@ struct ValidatorMetrics {
   }
 };
 
-double median_of(std::vector<double> v) {
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                   v.end());
-  return v[mid];
-}
+/// Median and robust scatter 1.4826 * MAD (~ sigma for Gaussian noise).
+struct RobustStats {
+  double median;
+  double sigma;
+};
 
-/// Robust scatter: 1.4826 * MAD ~ sigma for Gaussian noise.
-double robust_sigma(std::span<const double> samples, double median) {
-  std::vector<double> dev;
-  dev.reserve(samples.size());
-  for (const double s : samples) dev.push_back(std::fabs(s - median));
-  return 1.4826 * median_of(std::move(dev));
+/// Robust stats of `values`, worked out in a copy on the calling thread's
+/// DSP scratch (the same real lane the window's spectrum reuses next, so
+/// validation adds no resident memory and no steady-state allocation). The
+/// copy is reordered and overwritten with the absolute deviations; the
+/// order statistics are the values a sorted copy would give.
+template <typename Range>
+RobustStats robust_stats(const Range& values) {
+  const std::span<double> v =
+      dsp::DspScratch::local().real_lane(0, values.size());
+  std::copy(values.begin(), values.end(), v.begin());
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  const double median = *mid;
+  for (double& s : v) s = std::fabs(s - median);
+  std::nth_element(v.begin(), mid, v.end());
+  return {median, 1.4826 * *mid};
 }
 
 }  // namespace
@@ -74,18 +84,18 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
     const std::string& channel, std::span<const double> samples) const {
   if (samples.empty()) return std::nullopt;
 
+  double lo = samples.front();
+  double hi = samples.front();
   for (const double s : samples) {
     if (!std::isfinite(s)) return domain::SensorFaultKind::Dropout;
+    lo = std::min(lo, s);
+    hi = std::max(hi, s);
   }
-
-  const auto [lo_it, hi_it] = std::minmax_element(samples.begin(),
-                                                  samples.end());
-  if (*hi_it - *lo_it < cfg_.flatline_peak_to_peak) {
+  if (hi - lo < cfg_.flatline_peak_to_peak) {
     return domain::SensorFaultKind::Flatline;
   }
 
-  std::vector<double> copy(samples.begin(), samples.end());
-  const double median = median_of(std::move(copy));
+  const auto [median, sigma] = robust_stats(samples);
   if (const auto range_it = cfg_.ranges.find(channel);
       range_it != cfg_.ranges.end()) {
     const PhysicalRange& r = range_it->second;
@@ -94,7 +104,6 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
     }
   }
 
-  const double sigma = robust_sigma(samples, median);
   if (sigma > 0.0) {
     const double limit = cfg_.spike_sigmas * sigma;
     std::size_t spikes = 0;
@@ -133,10 +142,7 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_value(
   }
 
   if (state.history.size() >= cfg_.scalar_history) {
-    const std::vector<double> hist(state.history.begin(),
-                                   state.history.end());
-    const double median = median_of(hist);
-    const double sigma = robust_sigma(hist, median);
+    const auto [median, sigma] = robust_stats(state.history);
     if (sigma > 0.0 &&
         std::fabs(value - median) > cfg_.scalar_spike_sigmas * sigma) {
       return domain::SensorFaultKind::Spike;

@@ -1,10 +1,12 @@
-// Steady-state allocation audit for the DSP layer (ISSUE 2 acceptance).
+// Steady-state allocation audit for the DSP layer (ISSUE 2 acceptance) and
+// the window validation in front of it.
 //
 // Overrides the global allocation functions with a counting hook, warms the
 // plan/window caches and the per-thread scratch arena, then asserts that a
-// further pass through every cached DSP entry point performs zero heap
-// allocations. Lives in its own binary so the hook cannot distort the other
-// test suites.
+// further pass through every cached DSP entry point, and a further
+// SensorValidator::check_window on each record a vibration test screens,
+// performs zero heap allocations. Lives in its own binary so the hook
+// cannot distort the other test suites.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +15,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "mpros/dc/sensor_validator.hpp"
 #include "mpros/dsp/cepstrum.hpp"
 #include "mpros/dsp/dct.hpp"
 #include "mpros/dsp/envelope.hpp"
@@ -116,6 +120,35 @@ TEST(DspAllocationTest, SteadyStateWaveletPathIsAllocationFree) {
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u)
       << "cached wavelet pass allocated " << (after - before) << " time(s)";
+}
+
+TEST(DspAllocationTest, SteadyStateWindowValidationIsAllocationFree) {
+  // The records of one vibration test: three accelerometer windows and the
+  // long motor-current window.
+  const std::vector<double> vib = test_signal(8192, 40960.0);
+  std::vector<double> current = test_signal(32768, 4096.0);
+  for (double& v : current) v *= 250.0;
+  const std::string channels[] = {"vib.motor", "vib.gearbox",
+                                  "vib.compressor"};
+  const std::string current_channel = "current.motor";
+
+  dc::SensorValidator validator(dc::chiller_validator_config());
+  const auto run_all = [&] {
+    bool clean = true;
+    for (const std::string& channel : channels) {
+      clean = clean && !validator.check_window(channel, vib).fault;
+    }
+    return !validator.check_window(current_channel, current).fault && clean;
+  };
+
+  ASSERT_TRUE(run_all());
+
+  const std::uint64_t before = g_allocations.load();
+  EXPECT_TRUE(run_all());
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state window validation allocated " << (after - before)
+      << " time(s)";
 }
 
 }  // namespace
