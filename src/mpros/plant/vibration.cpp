@@ -62,17 +62,6 @@ void fill_gate(double t0_seconds, double dt, std::size_t first,
   }
 }
 
-/// Rotation by one sample period: (cos w*dt, sin w*dt).
-struct Rotation {
-  double c;
-  double s;
-};
-
-Rotation rotation(double freq_hz, double dt) {
-  const double w = kTwoPi * freq_hz * dt;
-  return {std::cos(w), std::sin(w)};
-}
-
 /// Rotations by 0 .. kRenderBlock - 1 sample periods, (cos j*w*dt,
 /// sin j*w*dt), each entry exact from libm, so no error accumulates along a
 /// block.
@@ -108,11 +97,11 @@ void render_tones(std::span<const Tone> tones, double t0_seconds,
   rotations.reserve(tones.size());
   for (const Tone& tone : tones) rotations.emplace_back(tone.freq_hz, dt);
 
+  const bool gating = transient.duty < 1.0;
   std::array<double, kRenderBlock> gate;
   gate.fill(1.0);
   for (std::size_t first = 0; first < out.size(); first += kRenderBlock) {
     const std::size_t n = std::min(kRenderBlock, out.size() - first);
-    const bool gating = transient.duty < 1.0;
     if (gating) {
       fill_gate(t0_seconds, dt, first, transient,
                 std::span<double>(gate).first(n));
@@ -141,7 +130,7 @@ void render_tones(std::span<const Tone> tones, double t0_seconds,
         }
       }
     }
-    std::copy_n(sum.begin(), n, out.begin() + static_cast<std::ptrdiff_t>(first));
+    std::copy_n(sum.begin(), n, out.subspan(first).begin());
   }
 }
 
@@ -164,8 +153,11 @@ void add_ring_down(double t0_seconds, double sample_rate_hz, double onset_s,
   }
   if (i >= end) return;
 
+  // One sample period: decay factor and rotation (cos w*dt, sin w*dt).
   const double decay = std::exp(-dt / tau_s);
-  const Rotation step = rotation(freq_hz, dt);
+  const double w = kTwoPi * freq_hz * dt;
+  const double step_c = std::cos(w);
+  const double step_s = std::sin(w);
   const double arg = kTwoPi * freq_hz * t;
   double envelope = amplitude * std::exp(-t / tau_s);
   double s = std::sin(arg);
@@ -173,8 +165,8 @@ void add_ring_down(double t0_seconds, double sample_rate_hz, double onset_s,
   for (; i < end; ++i) {
     out[static_cast<std::size_t>(i)] += envelope * s;
     envelope *= decay;
-    const double c_next = c * step.c - s * step.s;
-    s = s * step.c + c * step.s;
+    const double c_next = c * step_c - s * step_s;
+    s = s * step_c + c * step_s;
     c = c_next;
   }
 }

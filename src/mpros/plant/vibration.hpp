@@ -51,8 +51,8 @@ struct TransientProfile {
 };
 
 /// The renderer works in blocks of this many samples: tones re-anchor on
-/// their exact sin/cos at every block start, and all scratch (burst gate,
-/// noise draws) is a stack array of this length.
+/// their exact sin/cos at every block start, and the per-block scratch
+/// (tone sums, burst gate, noise draws) is stack arrays of this length.
 inline constexpr std::size_t kRenderBlock = 64;
 
 /// One additive tone, amplitude * sin(2*pi*freq_hz*t + phase).
@@ -64,9 +64,11 @@ struct Tone {
 };
 
 /// Write the sum of `tones` (in order) at t = t0 + i / sample_rate_hz into
-/// `out`. Each tone is a phasor rotated by (cos w*dt, sin w*dt) and
-/// re-anchored every kRenderBlock samples, so one sin/cos pair serves a
-/// block instead of one sin per sample.
+/// `out`. Each tone is a phasor anchored at every block start on the exact
+/// sin/cos of the per-sample argument 2*pi*f*t + phase; sample j of the
+/// block is the anchor rotated by j sample periods, read from a per-tone
+/// table of exact (cos j*w*dt, sin j*w*dt) built once per call. One sin/cos
+/// pair thus serves a block, and no error accumulates along it.
 void render_tones(std::span<const Tone> tones, double t0_seconds,
                   double sample_rate_hz, const TransientProfile& transient,
                   std::span<double> out);

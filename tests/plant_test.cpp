@@ -204,7 +204,8 @@ std::vector<double> per_sample_tones(double t0, double rate,
     for (const Tone& tone : kOracleTones) {
       const double g = tone.gated ? gate : 1.0;
       if (g == 0.0) continue;
-      v += g * tone.amplitude * std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
+      v += g * tone.amplitude *
+           std::sin(kTwoPi * tone.freq_hz * t + tone.phase);
     }
     out[i] = v;
   }
