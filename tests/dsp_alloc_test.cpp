@@ -1,5 +1,5 @@
-// Steady-state allocation audit for the DSP layer (ISSUE 2 acceptance) and
-// the window validation in front of it.
+// Steady-state allocation audit for the DSP layer and the window
+// validation in front of it.
 //
 // Overrides the global allocation functions with a counting hook, warms the
 // plan/window caches and the per-thread scratch arena, then asserts that a
