@@ -9,10 +9,10 @@
 // The plant side of a vibration test is timed too: one 32768-sample motor
 // current window at 4096 Hz and one 8192-sample accelerometer window at
 // 40960 Hz, healthy and bearing-faulted. main() writes their medians to
-// BENCH_DAQ.json at the current working directory (run from the repo root
-// to refresh the committed copy). `--quick` re-measures them and exits 1
-// when any runs slower than 2x the committed baseline; it never rewrites
-// the file.
+// BENCH_DAQ.json beside the binary (copy it over the committed one to
+// re-record). `--quick` re-measures them and exits 1 when any runs slower
+// than 2x the committed BENCH_DAQ.json in the working directory; it never
+// writes a file.
 
 #include <benchmark/benchmark.h>
 
@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_snapshot.hpp"
 #include "mpros/common/units.hpp"
 #include "mpros/plant/chiller.hpp"
 #include "mpros/plant/daq.hpp"
@@ -46,10 +47,9 @@ SignalSource chiller_source(ChillerSimulator& chiller) {
 }
 
 void print_e8_summary() {
-  DaqConfig cfg;
   ChillerSimulator chiller;
   chiller.advance(SimTime::from_seconds(1.0));
-  DaqChain daq(cfg, chiller_source(chiller));
+  DaqChain daq(chiller_source(chiller));
 
   const auto scan = daq.scan_all(4096, 40960.0, SimTime(0));
   const double achieved =
@@ -60,7 +60,7 @@ void print_e8_summary() {
   faulted.faults().schedule({domain::FailureMode::MotorImbalance, SimTime(0),
                              SimTime(0), 1.0, GrowthProfile::Step});
   faulted.advance(SimTime::from_seconds(1.0));
-  DaqChain alarm_daq(cfg, chiller_source(faulted));
+  DaqChain alarm_daq(chiller_source(faulted));
   alarm_daq.set_alarm_threshold(0, 0.15);  // healthy RMS is ~0.07 g
   const auto alarms =
       alarm_daq.poll_alarms(SimTime(0), SimTime::from_seconds(2.0));
@@ -84,7 +84,7 @@ void print_e8_summary() {
 void BM_FullScan(benchmark::State& state) {
   ChillerSimulator chiller;
   chiller.advance(SimTime::from_seconds(1.0));
-  DaqChain daq(DaqConfig{}, chiller_source(chiller));
+  DaqChain daq(chiller_source(chiller));
   const auto samples = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(daq.scan_all(samples, 40960.0, SimTime(0)));
@@ -97,7 +97,7 @@ BENCHMARK(BM_FullScan)->Arg(1024)->Arg(4096);
 void BM_AlarmScan(benchmark::State& state) {
   ChillerSimulator chiller;
   chiller.advance(SimTime::from_seconds(1.0));
-  DaqChain daq(DaqConfig{}, chiller_source(chiller));
+  DaqChain daq(chiller_source(chiller));
   for (std::size_t ch = 0; ch < daq.channel_count(); ++ch) {
     daq.set_alarm_threshold(ch, 10.0);  // never fires: measure scan cost
   }
@@ -198,11 +198,9 @@ PlantTimings measure_plant(std::size_t reps) {
 
 void write_json_snapshot() {
   const PlantTimings t = measure_plant(101);
-  std::FILE* f = std::fopen("BENCH_DAQ.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_daq: cannot write BENCH_DAQ.json\n");
-    return;
-  }
+  std::string path;
+  std::FILE* f = mpros::bench::open_snapshot("BENCH_DAQ.json", path);
+  if (f == nullptr) return;
   std::fprintf(f,
                "{\n"
                "  \"experiment\": \"E8\",\n"
@@ -221,25 +219,9 @@ void write_json_snapshot() {
                t.current_faulted, t.vib_healthy, t.vib_faulted);
   std::fclose(f);
   std::printf("plant windows: current %.1f / %.1f us, vibration %.1f / %.1f "
-              "us (healthy / bearings faulted; BENCH_DAQ.json written)\n",
+              "us (healthy / bearings faulted)\n%s written\n",
               t.current_healthy / 1e3, t.current_faulted / 1e3,
-              t.vib_healthy / 1e3, t.vib_faulted / 1e3);
-}
-
-/// Value of `"key": <number>` in the committed BENCH_DAQ.json in the working
-/// directory, or 0 when the file or the key is missing.
-double committed_baseline(const char* key) {
-  std::FILE* f = std::fopen("BENCH_DAQ.json", "r");
-  if (f == nullptr) return 0.0;
-  char buf[4096];
-  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
-  buf[n] = '\0';
-  std::fclose(f);
-  const std::string quoted = std::string("\"") + key + "\":";
-  const char* at = std::strstr(buf, quoted.c_str());
-  double value = 0.0;
-  if (at != nullptr) std::sscanf(at + quoted.size(), "%lf", &value);
-  return value;
+              t.vib_healthy / 1e3, t.vib_faulted / 1e3, path.c_str());
 }
 
 /// --quick: CI regression gate on the plant's per-window cost. Exits 1 when
@@ -249,7 +231,7 @@ int run_quick_gate() {
                         "vibration_healthy_ns", "vibration_faulted_ns"};
   double base[4];
   for (int i = 0; i < 4; ++i) {
-    base[i] = committed_baseline(keys[i]);
+    base[i] = mpros::bench::committed_baseline("BENCH_DAQ.json", keys[i]);
     if (base[i] <= 0.0) {
       std::printf("bench_daq --quick: no BENCH_DAQ.json baseline here; "
                   "nothing to gate against\n");

@@ -16,24 +16,24 @@
 // fsync-free replay rate in records/s (the CPU-bound half, which is what
 // the --quick gate checks).
 //
-// Writes BENCH_DB.json at the current working directory (run from the repo
-// root to refresh the committed snapshot).
+// Writes BENCH_DB.json beside the binary (copy it over the committed one to
+// re-record).
 //
 // --quick: CI regression gate. Re-measures the WAL replay rate and fails
-// on a >20% drop against the committed BENCH_DB.json baseline. Never
-// rewrites the file.
+// on a >20% drop against the committed BENCH_DB.json in the working
+// directory. Never writes a file.
 
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench_snapshot.hpp"
 #include "mpros/db/durable.hpp"
 #include "mpros/oosm/object_model.hpp"
 #include "mpros/oosm/persistence.hpp"
@@ -178,11 +178,9 @@ RecoveryPoint run_recovery(std::size_t reports) {
 void write_json(const std::vector<CommitPoint>& commits,
                 const std::vector<RecoveryPoint>& recoveries,
                 double replay_best) {
-  std::FILE* f = std::fopen("BENCH_DB.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_db: cannot write BENCH_DB.json\n");
-    return;
-  }
+  std::string path;
+  std::FILE* f = mpros::bench::open_snapshot("BENCH_DB.json", path);
+  if (f == nullptr) return;
   std::fprintf(f, "{\n  \"experiment\": \"E22\",\n  \"group_commit\": [\n");
   for (std::size_t i = 0; i < commits.size(); ++i) {
     const CommitPoint& p = commits[i];
@@ -209,23 +207,14 @@ void write_json(const std::vector<CommitPoint>& commits,
   std::fprintf(f, "  ],\n  \"replay_records_per_s_best\": %.0f\n}\n",
                replay_best);
   std::fclose(f);
+  std::printf("%s written\n", path.c_str());
 }
 
 /// --quick: re-measure the fsync-free replay rate against the committed
 /// baseline; exit nonzero on a >20% regression. Never rewrites the file.
 int run_quick_gate() {
-  double baseline = 0.0;
-  std::FILE* f = std::fopen("BENCH_DB.json", "r");
-  if (f != nullptr) {
-    char buf[8192];
-    const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
-    buf[n] = '\0';
-    std::fclose(f);
-    const char* key = std::strstr(buf, "\"replay_records_per_s_best\"");
-    if (key != nullptr) {
-      std::sscanf(key, "\"replay_records_per_s_best\": %lf", &baseline);
-    }
-  }
+  const double baseline = mpros::bench::committed_baseline(
+      "BENCH_DB.json", "replay_records_per_s_best");
   if (baseline <= 0.0) {
     std::printf("bench_db --quick: no BENCH_DB.json baseline here; "
                 "nothing to gate against\n");
@@ -291,6 +280,5 @@ int main(int argc, char** argv) {
   }
 
   write_json(commits, recoveries, replay_best);
-  std::printf("BENCH_DB.json written\n");
   return 0;
 }

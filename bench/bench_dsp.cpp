@@ -10,12 +10,12 @@
 //
 // The google-benchmark suite covers interactive runs; main() additionally
 // takes a fixed-repetition median of each path and writes the numbers to
-// BENCH_DSP.json at the current working directory (run from the repo root
-// to refresh the committed copy). Acceptance: cached single-spectrum
-// latency >= 2x better than the rebuild path. `--quick` re-measures the
-// vibration feature frame and the WNN feature vector and exits 1 when
-// either runs slower than 2x the committed BENCH_DSP.json baseline; it
-// never rewrites the file.
+// BENCH_DSP.json beside the binary (copy it over the committed one to
+// re-record). Acceptance: cached single-spectrum latency >= 2x better than
+// the rebuild path. `--quick` re-measures the vibration feature frame and
+// the WNN feature vector and exits 1 when either runs slower than 2x the
+// committed BENCH_DSP.json in the working directory; it never writes a
+// file.
 
 #include <benchmark/benchmark.h>
 
@@ -23,12 +23,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "bench_snapshot.hpp"
 #include "mpros/dsp/fft.hpp"
 #include "mpros/dsp/spectrum.hpp"
 #include "mpros/dsp/window.hpp"
@@ -254,11 +254,9 @@ void write_json_snapshot() {
   const double feature_frame = feature_frame_ns(x, 100);
   const double wnn_features = wnn_features_ns(x, 100);
 
-  std::FILE* f = std::fopen("BENCH_DSP.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_dsp: cannot write BENCH_DSP.json\n");
-    return;
-  }
+  std::string path;
+  std::FILE* f = mpros::bench::open_snapshot("BENCH_DSP.json", path);
+  if (f == nullptr) return;
   std::fprintf(f,
                "{\n"
                "  \"experiment\": \"E16\",\n"
@@ -281,32 +279,18 @@ void write_json_snapshot() {
               rebuild / 1e3, cached / 1e3, rebuild / cached);
   std::printf("4096-pt complex FFT: %.1f us; 32768-pt current spectrum: "
               "%.1f us\n", fft_complex / 1e3, current_spectrum / 1e3);
-  std::printf("feature frame  : %.1f us; WNN features: %.1f us  "
-              "(BENCH_DSP.json written)\n",
-              feature_frame / 1e3, wnn_features / 1e3);
-}
-
-/// Value of `"key": <number>` in the committed BENCH_DSP.json in the working
-/// directory, or 0 when the file or the key is missing.
-double committed_baseline(const char* key) {
-  std::FILE* f = std::fopen("BENCH_DSP.json", "r");
-  if (f == nullptr) return 0.0;
-  char buf[4096];
-  const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
-  buf[n] = '\0';
-  std::fclose(f);
-  const std::string quoted = std::string("\"") + key + "\":";
-  const char* at = std::strstr(buf, quoted.c_str());
-  double value = 0.0;
-  if (at != nullptr) std::sscanf(at + quoted.size(), "%lf", &value);
-  return value;
+  std::printf("feature frame  : %.1f us; WNN features: %.1f us\n"
+              "%s written\n",
+              feature_frame / 1e3, wnn_features / 1e3, path.c_str());
 }
 
 /// --quick: CI regression gate on the two per-window DSP costs of a
 /// vibration test. Exits 1 when either median exceeds 2x its baseline.
 int run_quick_gate() {
-  const double frame_base = committed_baseline("feature_frame_cached_ns");
-  const double wnn_base = committed_baseline("wnn_features_ns");
+  const double frame_base = mpros::bench::committed_baseline(
+      "BENCH_DSP.json", "feature_frame_cached_ns");
+  const double wnn_base =
+      mpros::bench::committed_baseline("BENCH_DSP.json", "wnn_features_ns");
   if (frame_base <= 0.0 || wnn_base <= 0.0) {
     std::printf("bench_dsp --quick: no BENCH_DSP.json baseline here; "
                 "nothing to gate against\n");

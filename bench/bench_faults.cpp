@@ -17,13 +17,14 @@
 // Lost within 3 missed heartbeat intervals; Alive again after the
 // partition heals.
 //
-// Writes BENCH_FAULTS.json at the current working directory (run from the
-// repo root to refresh the committed snapshot).
+// Writes BENCH_FAULTS.json beside the binary (copy it over the committed
+// one to re-record).
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench_snapshot.hpp"
 #include "mpros/common/log.hpp"
 #include "mpros/mpros/ship_system.hpp"
 #include "mpros/net/messages.hpp"
@@ -186,11 +187,9 @@ LivenessResult run_liveness() {
 
 void write_json(const std::vector<SweepPoint>& sweep,
                 const LivenessResult& live) {
-  std::FILE* f = std::fopen("BENCH_FAULTS.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_faults: cannot write BENCH_FAULTS.json\n");
-    return;
-  }
+  std::string path;
+  std::FILE* f = mpros::bench::open_snapshot("BENCH_FAULTS.json", path);
+  if (f == nullptr) return;
   std::fprintf(f,
                "{\n"
                "  \"experiment\": \"E17\",\n"
@@ -227,6 +226,7 @@ void write_json(const std::vector<SweepPoint>& sweep,
                live.stale_at_s, live.lost_at_s, live.lost_after_intervals,
                live.recovered_at_s);
   std::fclose(f);
+  std::printf("%s written\n", path.c_str());
 }
 
 }  // namespace
@@ -265,6 +265,5 @@ int main() {
       live.lost_after_intervals, live.recovered_at_s);
 
   write_json(sweep, live);
-  std::printf("BENCH_FAULTS.json written\n");
   return 0;
 }

@@ -10,8 +10,8 @@
 // Acceptance: reader throughput stays flat (+-10%) across the sweep —
 // the thousands-of-readers story costs the ingest path nothing.
 //
-// Writes BENCH_FLEETTIER.json at the current working directory (run from
-// the repo root to refresh the committed snapshot).
+// Writes BENCH_FLEETTIER.json beside the binary (copy it over the committed
+// one to re-record).
 
 #include <atomic>
 #include <chrono>
@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_snapshot.hpp"
 #include "mpros/fleet/fleet_server.hpp"
 #include "mpros/net/fleet_summary.hpp"
 
@@ -149,12 +150,9 @@ SweepPoint run_point(std::size_t reader_count) {
 }
 
 void write_json(const std::vector<SweepPoint>& sweep, double flatness) {
-  std::FILE* f = std::fopen("BENCH_FLEETTIER.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr,
-                 "bench_fleet_server: cannot write BENCH_FLEETTIER.json\n");
-    return;
-  }
+  std::string path;
+  std::FILE* f = mpros::bench::open_snapshot("BENCH_FLEETTIER.json", path);
+  if (f == nullptr) return;
   std::fprintf(f,
                "{\n"
                "  \"experiment\": \"E19\",\n"
@@ -180,6 +178,7 @@ void write_json(const std::vector<SweepPoint>& sweep, double flatness) {
                "}\n",
                flatness);
   std::fclose(f);
+  std::printf("%s written\n", path.c_str());
 }
 
 }  // namespace
@@ -216,6 +215,5 @@ int main() {
               flatness);
 
   write_json(sweep, flatness);
-  std::printf("BENCH_FLEETTIER.json written\n");
   return 0;
 }

@@ -11,11 +11,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "bench_snapshot.hpp"
 #include "mpros/common/rng.hpp"
 #include "mpros/mpros/ship_system.hpp"
 
@@ -223,11 +223,9 @@ void write_json_snapshot() {
     singleton = std::max(singleton, measure_singleton_rate(stream));
   }
 
-  std::FILE* f = std::fopen("BENCH_FLEET.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_fleet: cannot write BENCH_FLEET.json\n");
-    return;
-  }
+  std::string path;
+  std::FILE* f = mpros::bench::open_snapshot("BENCH_FLEET.json", path);
+  if (f == nullptr) return;
   // Record the machine's core count beside the wall-clock numbers.
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(f,
@@ -245,26 +243,17 @@ void write_json_snapshot() {
   std::fclose(f);
   std::printf(
       "batched ingest : %.0f/s via %zu-report submit() spans (%u cores)\n"
-      "singleton      : %.0f/s via per-report accept() for comparison "
-      "(BENCH_FLEET.json written)\n",
-      batched, kIngestBatch, hw, singleton);
+      "singleton      : %.0f/s via per-report accept() for comparison\n"
+      "%s written\n",
+      batched, kIngestBatch, hw, singleton, path.c_str());
 }
 
 /// --quick: CI regression gate. Re-measures the inline batched ingest rate
 /// and compares against the committed BENCH_FLEET.json in the working
-/// directory; exits nonzero on a >20% regression. Never rewrites the file.
+/// directory; exits nonzero on a >20% regression. Never writes a file.
 int run_quick_gate() {
-  double baseline = 0.0;
-  std::FILE* f = std::fopen("BENCH_FLEET.json", "r");
-  if (f != nullptr) {
-    char buf[4096];
-    const std::size_t n = std::fread(buf, 1, sizeof buf - 1, f);
-    buf[n] = '\0';
-    std::fclose(f);
-    const char* key = std::strstr(buf, "\"reports_per_s_inline\"");
-    if (key != nullptr) std::sscanf(key, "\"reports_per_s_inline\": %lf",
-                                    &baseline);
-  }
+  const double baseline = mpros::bench::committed_baseline(
+      "BENCH_FLEET.json", "reports_per_s_inline");
   if (baseline <= 0.0) {
     std::printf("bench_fleet --quick: no BENCH_FLEET.json baseline here; "
                 "nothing to gate against\n");

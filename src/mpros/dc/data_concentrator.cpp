@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <variant>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
@@ -45,6 +47,14 @@ bool point_owns(plant::MachinePoint point, FailureMode mode) {
 
 /// SBFR event codes: 0x60 + machine index (resolved via sbfr_machine_mode_).
 constexpr std::uint8_t kSbfrEventBase = 0x60;
+
+/// Config-table row holding the revision of the last applied command.
+constexpr std::string_view kRevisionKey = "__revision";
+
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
 
 /// Registry handles resolved once; afterwards an observation is a relaxed
 /// atomic add, cheap enough for the test/scan path.
@@ -231,7 +241,6 @@ void DataConcentrator::setup_database() {
 }
 
 void DataConcentrator::setup_sbfr(bool add_machines) {
-  if (!cfg_.enable_sbfr) return;
   const auto nominals = domain::navy_chiller_nominals();
 
   // Channel layout (process variables resampled per scan):
@@ -383,7 +392,7 @@ void DataConcentrator::apply_command(const net::CommandMessage& cmd,
   }
   if (cmd.revision != 0) {
     config_revision_ = cmd.revision;
-    persist_setting("__revision", static_cast<double>(cmd.revision));
+    persist_setting(kRevisionKey, static_cast<double>(cmd.revision));
   }
   db_.table("test_log").insert_auto(
       {db::Value(now.micros()), db::Value("config: " + cmd.reason)});
@@ -396,83 +405,89 @@ void DataConcentrator::apply_command(const net::CommandMessage& cmd,
   }
 }
 
+/// One runtime-tunable setting: its command key, the values it accepts, and
+/// the field it lands in. Values travel as doubles; periods in seconds,
+/// toggles as exact 0/1.
+struct DataConcentrator::RuntimeSetting {
+  enum class Accepts { Positive, UnitInterval, Toggle, Count };
+  std::string_view key;
+  Accepts accepts;
+  std::variant<double SensorValidatorConfig::*, double DcConfig::*,
+               std::size_t DcConfig::*, bool DcConfig::*, SimTime DcConfig::*>
+      field;
+  /// The scheduler task a period setting re-times; null for the others.
+  EventScheduler::TaskId DataConcentrator::*task = nullptr;
+
+  [[nodiscard]] bool accepts_value(double v) const {
+    if (!std::isfinite(v)) return false;
+    switch (accepts) {
+      case Accepts::Positive: return v > 0.0;
+      case Accepts::UnitInterval: return v >= 0.0 && v <= 1.0;
+      case Accepts::Toggle: return v == 0.0 || v == 1.0;
+      case Accepts::Count: return v >= 0.0 && v == std::floor(v) && v <= 1e9;
+    }
+    return false;
+  }
+};
+
+const DataConcentrator::RuntimeSetting* DataConcentrator::find_setting(
+    std::string_view key) {
+  using A = RuntimeSetting::Accepts;
+  static const RuntimeSetting kSettings[] = {
+      {"validator.spike_sigmas", A::Positive,
+       &SensorValidatorConfig::spike_sigmas},
+      {"validator.scalar_spike_sigmas", A::Positive,
+       &SensorValidatorConfig::scalar_spike_sigmas},
+      {"validator.flatline_peak_to_peak", A::Positive,
+       &SensorValidatorConfig::flatline_peak_to_peak},
+      {"dc.report_hysteresis", A::UnitInterval, &DcConfig::report_hysteresis},
+      {"dc.wnn_report_threshold", A::UnitInterval,
+       &DcConfig::wnn_report_threshold},
+      {"dc.report_refresh_s", A::Positive, &DcConfig::report_refresh},
+      {"dc.sensor_publish_every", A::Count, &DcConfig::sensor_publish_every},
+      {"dc.enable_dli", A::Toggle, &DcConfig::enable_dli},
+      {"dc.enable_sbfr", A::Toggle, &DcConfig::enable_sbfr},
+      {"dc.enable_fuzzy", A::Toggle, &DcConfig::enable_fuzzy},
+      {"dc.process_period_s", A::Positive, &DcConfig::process_period,
+       &DataConcentrator::process_task_},
+      {"dc.vibration_period_s", A::Positive, &DcConfig::vibration_period,
+       &DataConcentrator::vibration_task_},
+      {"dc.heartbeat_period_s", A::Positive, &DcConfig::heartbeat_period,
+       &DataConcentrator::heartbeat_task_},
+      {"dc.retransmit_sweep_period_s", A::Positive,
+       &DcConfig::retransmit_sweep_period, &DataConcentrator::sweep_task_},
+  };
+  for (const RuntimeSetting& setting : kSettings) {
+    if (setting.key == key) return &setting;
+  }
+  return nullptr;
+}
+
 bool DataConcentrator::apply_setting(std::string_view key, double value,
                                      bool quiet) {
-  bool ok = std::isfinite(value);
-  if (!ok) {
-    // fall through to the reject log
-  } else if (key == "validator.spike_sigmas" ||
-             key == "validator.scalar_spike_sigmas" ||
-             key == "validator.flatline_peak_to_peak") {
-    ok = value > 0.0;
-    if (ok) {
-      SensorValidatorConfig vc = validator_.config();
-      if (key == "validator.spike_sigmas") vc.spike_sigmas = value;
-      if (key == "validator.scalar_spike_sigmas") {
-        vc.scalar_spike_sigmas = value;
-      }
-      if (key == "validator.flatline_peak_to_peak") {
-        vc.flatline_peak_to_peak = value;
-      }
-      validator_.set_config(std::move(vc));
-    }
-  } else if (key == "dc.report_hysteresis") {
-    ok = value >= 0.0 && value <= 1.0;
-    if (ok) cfg_.report_hysteresis = value;
-  } else if (key == "dc.wnn_report_threshold") {
-    ok = value >= 0.0 && value <= 1.0;
-    if (ok) cfg_.wnn_report_threshold = value;
-  } else if (key == "dc.report_refresh_s") {
-    ok = value > 0.0;
-    if (ok) cfg_.report_refresh = SimTime::from_seconds(value);
-  } else if (key == "dc.sensor_publish_every") {
-    ok = value >= 0.0 && value == std::floor(value) && value <= 1e9;
-    if (ok) cfg_.sensor_publish_every = static_cast<std::size_t>(value);
-  } else if (key == "dc.enable_dli") {
-    ok = value == 0.0 || value == 1.0;
-    if (ok) cfg_.enable_dli = value != 0.0;
-  } else if (key == "dc.enable_sbfr") {
-    ok = value == 0.0 || value == 1.0;
-    if (ok) cfg_.enable_sbfr = value != 0.0;
-  } else if (key == "dc.enable_fuzzy") {
-    ok = value == 0.0 || value == 1.0;
-    if (ok) cfg_.enable_fuzzy = value != 0.0;
-  } else if (key == "dc.process_period_s") {
-    ok = value > 0.0;
-    if (ok) {
-      cfg_.process_period = SimTime::from_seconds(value);
-      if (scheduler_.task_count() > 0) {
-        scheduler_.set_period(process_task_, cfg_.process_period);
-      }
-    }
-  } else if (key == "dc.vibration_period_s") {
-    ok = value > 0.0;
-    if (ok) {
-      cfg_.vibration_period = SimTime::from_seconds(value);
-      if (scheduler_.task_count() > 0) {
-        scheduler_.set_period(vibration_task_, cfg_.vibration_period);
-      }
-    }
-  } else if (key == "dc.heartbeat_period_s") {
-    ok = value > 0.0;
-    if (ok) {
-      cfg_.heartbeat_period = SimTime::from_seconds(value);
-      if (scheduler_.task_count() > 0) {
-        scheduler_.set_period(heartbeat_task_, cfg_.heartbeat_period);
-      }
-    }
-  } else if (key == "dc.retransmit_sweep_period_s") {
-    ok = value > 0.0;
-    if (ok) {
-      cfg_.retransmit_sweep_period = SimTime::from_seconds(value);
-      if (scheduler_.task_count() > 0) {
-        scheduler_.set_period(sweep_task_, cfg_.retransmit_sweep_period);
-      }
-    }
-  } else {
-    ok = false;
-  }
-  if (!ok && !quiet) {
+  const RuntimeSetting* setting = find_setting(key);
+  const bool ok = setting != nullptr && setting->accepts_value(value);
+  if (ok) {
+    std::visit(
+        Overloaded{
+            [&](double SensorValidatorConfig::*field) {
+              SensorValidatorConfig vc = validator_.config();
+              vc.*field = value;
+              validator_.set_config(std::move(vc));
+            },
+            [&](double DcConfig::*field) { cfg_.*field = value; },
+            [&](std::size_t DcConfig::*field) {
+              cfg_.*field = static_cast<std::size_t>(value);
+            },
+            [&](bool DcConfig::*field) { cfg_.*field = value != 0.0; },
+            [&](SimTime DcConfig::*field) {
+              cfg_.*field = SimTime::from_seconds(value);
+              if (setting->task != nullptr && scheduler_.task_count() > 0) {
+                scheduler_.set_period(this->*setting->task, cfg_.*field);
+              }
+            }},
+        setting->field);
+  } else if (!quiet) {
     MPROS_LOG_WARN("dc", "dc-%llu rejected setting %.*s=%g",
                    static_cast<unsigned long long>(cfg_.id.value()),
                    static_cast<int>(key.size()), key.data(), value);
@@ -482,29 +497,21 @@ bool DataConcentrator::apply_setting(std::string_view key, double value,
 
 std::optional<double> DataConcentrator::runtime_setting(
     std::string_view key) const {
-  if (key == "validator.spike_sigmas") return validator_.config().spike_sigmas;
-  if (key == "validator.scalar_spike_sigmas") {
-    return validator_.config().scalar_spike_sigmas;
-  }
-  if (key == "validator.flatline_peak_to_peak") {
-    return validator_.config().flatline_peak_to_peak;
-  }
-  if (key == "dc.report_hysteresis") return cfg_.report_hysteresis;
-  if (key == "dc.wnn_report_threshold") return cfg_.wnn_report_threshold;
-  if (key == "dc.report_refresh_s") return cfg_.report_refresh.seconds();
-  if (key == "dc.sensor_publish_every") {
-    return static_cast<double>(cfg_.sensor_publish_every);
-  }
-  if (key == "dc.enable_dli") return cfg_.enable_dli ? 1.0 : 0.0;
-  if (key == "dc.enable_sbfr") return cfg_.enable_sbfr ? 1.0 : 0.0;
-  if (key == "dc.enable_fuzzy") return cfg_.enable_fuzzy ? 1.0 : 0.0;
-  if (key == "dc.process_period_s") return cfg_.process_period.seconds();
-  if (key == "dc.vibration_period_s") return cfg_.vibration_period.seconds();
-  if (key == "dc.heartbeat_period_s") return cfg_.heartbeat_period.seconds();
-  if (key == "dc.retransmit_sweep_period_s") {
-    return cfg_.retransmit_sweep_period.seconds();
-  }
-  return std::nullopt;
+  const RuntimeSetting* setting = find_setting(key);
+  if (setting == nullptr) return std::nullopt;
+  return std::visit(
+      Overloaded{[&](double SensorValidatorConfig::*field) {
+                   return validator_.config().*field;
+                 },
+                 [&](double DcConfig::*field) { return cfg_.*field; },
+                 [&](std::size_t DcConfig::*field) {
+                   return static_cast<double>(cfg_.*field);
+                 },
+                 [&](bool DcConfig::*field) { return cfg_.*field ? 1.0 : 0.0; },
+                 [&](SimTime DcConfig::*field) {
+                   return (cfg_.*field).seconds();
+                 }},
+      setting->field);
 }
 
 void DataConcentrator::persist_setting(std::string_view key, double value) {
@@ -537,24 +544,18 @@ std::vector<std::pair<std::string, double>> DataConcentrator::persisted_config()
 
 void DataConcentrator::restore_config(
     const std::vector<std::pair<std::string, double>>& settings) {
-  for (const auto& [key, value] : settings) {
-    if (key == "__revision") {
-      config_revision_ = static_cast<std::uint64_t>(std::llround(value));
-    } else {
-      apply_setting(key, value, /*quiet=*/true);
-    }
-    persist_setting(key, value);
-  }
+  for (const auto& [key, value] : settings) persist_setting(key, value);
   // The entries came from the durable mirror; queueing them back would
   // just rewrite identical rows into the WAL on the next barrier.
   pending_config_updates_.clear();
+  reapply_persisted_config();
 }
 
 void DataConcentrator::reapply_persisted_config() {
   for (const db::Row& row : db_.table("config").select()) {
     const std::string& key = row[1].as_text();
     const double value = row[2].as_real();
-    if (key == "__revision") {
+    if (key == kRevisionKey) {
       config_revision_ = static_cast<std::uint64_t>(std::llround(value));
     } else {
       apply_setting(key, value, /*quiet=*/true);
@@ -743,24 +744,25 @@ void DataConcentrator::run_vibration_test(SimTime now) {
     if (!validate_window(now, plant::vibration_channel(point), vib_buffer_)) {
       continue;
     }
-    if (!cfg_.enable_dli) continue;
 
-    rules::FeatureFrame frame;
-    extractor_.extract_vibration(vib_buffer_, cfg_.sample_rate_hz, frame);
-    if (point == plant::MachinePoint::Motor && current_ok) {
-      extractor_.extract_current(current_buffer_,
-                                 cfg_.current_sample_rate_hz, load, frame);
-    }
-    for (const auto& [key, value] : process) {
-      if (validator_.quarantined(key)) {
-        continue;  // rules abstain on the missing feature
+    if (cfg_.enable_dli) {
+      rules::FeatureFrame frame;
+      extractor_.extract_vibration(vib_buffer_, cfg_.sample_rate_hz, frame);
+      if (point == plant::MachinePoint::Motor && current_ok) {
+        extractor_.extract_current(current_buffer_,
+                                   cfg_.current_sample_rate_hz, load, frame);
       }
-      frame.set(key, value);
-    }
+      for (const auto& [key, value] : process) {
+        if (validator_.quarantined(key)) {
+          continue;  // rules abstain on the missing feature
+        }
+        frame.set(key, value);
+      }
 
-    for (const rules::Diagnosis& d : dli_.evaluate(frame, beliefs_)) {
-      if (!point_owns(point, d.mode)) continue;
-      emit(now, kDliExpertSystem, sensed_object_for(d.mode), d);
+      for (const rules::Diagnosis& d : dli_.evaluate(frame, beliefs_)) {
+        if (!point_owns(point, d.mode)) continue;
+        emit(now, kDliExpertSystem, sensed_object_for(d.mode), d);
+      }
     }
 
     // WNN on the same records: transitory-phenomena classifier (§6.2).
@@ -841,7 +843,7 @@ void DataConcentrator::run_process_scan(SimTime now) {
   for (const std::string& key : sbfr_channel_keys_) {
     sbfr_inputs_ok = sbfr_inputs_ok && snapshot.contains(key);
   }
-  if (cfg_.enable_sbfr && !sbfr_machine_mode_.empty() && sbfr_inputs_ok) {
+  if (cfg_.enable_sbfr && sbfr_inputs_ok) {
     const auto value = [&](const std::string& key) {
       const auto it = snapshot.find(key);
       MPROS_ASSERT(it != snapshot.end());

@@ -296,7 +296,8 @@ class DataConcentrator {
   bool validate_window(SimTime now, const std::string& channel,
                        std::span<const double> samples);
   void setup_database();
-  /// Build the SBFR channel/mode tables; `add_machines` is false when the
+  /// Build the SBFR channel/mode tables (also on a DC built with SBFR off,
+  /// so a command can turn it on); `add_machines` is false when the
   /// machines (with their latch state) arrived via Salvage.
   void setup_sbfr(bool add_machines = true);
   /// Register the scheduler tasks. For a fresh DC `resume_at` is zero and
@@ -305,11 +306,16 @@ class DataConcentrator {
   /// original phase strictly after `resume_at`, so the catch-up advance
   /// re-runs the swallowed tests at their original times.
   void register_tasks(SimTime resume_at);
+  /// The runtime-setting table: one row per apply_command key.
+  struct RuntimeSetting;
+  /// The row for `key`; null for unknown keys.
+  static const RuntimeSetting* find_setting(std::string_view key);
   /// Apply one runtime setting; returns false (rejected) on unknown key or
-  /// out-of-range value. `quiet` suppresses counters/persistence when
+  /// out-of-range value. `quiet` suppresses the rejection warning when
   /// re-applying the persisted config during recovery.
   bool apply_setting(std::string_view key, double value, bool quiet);
   void persist_setting(std::string_view key, double value);
+  /// Apply every row of the config table (adopting the revision row).
   void reapply_persisted_config();
 
   DcConfig cfg_;

@@ -10,6 +10,16 @@ namespace mpros::dc {
 
 namespace {
 
+/// Scalar channels flatline when this many consecutive scans repeat the
+/// same reading exactly (process noise makes honest repeats implausible).
+constexpr std::size_t kFlatlineRepeats = 4;
+/// Spikes a window must hold before it faults.
+constexpr std::size_t kSpikeMinCount = 4;
+/// Readings of recent history the scalar spike screen keeps per channel.
+constexpr std::size_t kScalarHistory = 16;
+/// Consecutive clean checks before a quarantined channel is trusted again.
+constexpr std::size_t kReleaseAfter = 3;
+
 struct ValidatorMetrics {
   telemetry::Counter& faults_detected;
   telemetry::Counter& quarantines;
@@ -110,7 +120,7 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_window(
     for (const double s : samples) {
       if (std::fabs(s - median) > limit) ++spikes;
     }
-    if (spikes >= cfg_.spike_min_count) {
+    if (spikes >= kSpikeMinCount) {
       return domain::SensorFaultKind::Spike;
     }
   }
@@ -136,12 +146,12 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_value(
   }
   state.last_value = value;
   state.has_last = true;
-  if (state.repeat_count + 1 >= cfg_.flatline_repeats &&
+  if (state.repeat_count + 1 >= kFlatlineRepeats &&
       !cfg_.flatline_exempt.contains(channel)) {
     return domain::SensorFaultKind::Flatline;
   }
 
-  if (state.history.size() >= cfg_.scalar_history) {
+  if (state.history.size() >= kScalarHistory) {
     const auto [median, sigma] = robust_stats(state.history);
     if (sigma > 0.0 &&
         std::fabs(value - median) > cfg_.scalar_spike_sigmas * sigma) {
@@ -150,7 +160,7 @@ std::optional<domain::SensorFaultKind> SensorValidator::screen_value(
   }
 
   state.history.push_back(value);
-  while (state.history.size() > cfg_.scalar_history) {
+  while (state.history.size() > kScalarHistory) {
     state.history.pop_front();
   }
   return std::nullopt;
@@ -175,7 +185,7 @@ SensorValidator::Verdict SensorValidator::resolve(
       metrics.quarantines.inc();
     }
   } else if (state.quarantined) {
-    if (++state.clean_streak >= cfg_.release_after) {
+    if (++state.clean_streak >= kReleaseAfter) {
       state.quarantined = false;
       state.clean_streak = 0;
       verdict.released = true;

@@ -13,7 +13,7 @@
 //                 machinery impulsiveness never trips them.
 // A failed channel is quarantined: its data is withheld from the analyzers
 // (which degrade gracefully — rules abstain on missing features, fuzzy and
-// SBFR skip absent keys) until the channel produces `release_after`
+// SBFR skip absent keys) until the channel produces three
 // consecutive clean checks.
 
 #include <cstdint>
@@ -42,24 +42,17 @@ struct SensorValidatorConfig {
   /// Window peak-to-peak below this is a flatline. Real accelerometer noise
   /// floors sit orders of magnitude above.
   double flatline_peak_to_peak = 1e-9;
-  /// Scalar channels flatline when this many consecutive scans repeat the
-  /// same reading exactly (process noise makes honest repeats implausible).
-  std::size_t flatline_repeats = 4;
   /// Channels exempt from the exact-repeat flatline screen: commanded
   /// setpoints and other noiseless telemetry repeat legitimately.
   std::set<std::string> flatline_exempt;
   /// Spike screen: samples beyond `spike_sigmas` robust deviations
-  /// (median/MAD) count as spikes; the window faults when at least
-  /// `spike_min_count` land. Bearing-impact crests reach ~5-10 sigmas;
-  /// 25 keeps genuine impulsiveness out.
+  /// (median/MAD) count as spikes; the window faults when at least four
+  /// land. Bearing-impact crests reach ~5-10 sigmas; 25 keeps genuine
+  /// impulsiveness out.
   double spike_sigmas = 25.0;
-  std::size_t spike_min_count = 4;
-  /// Scalar spike screen: deviation from the recent-history median, in
-  /// robust sigmas of that history.
+  /// Scalar spike screen: deviation from the median of the last 16
+  /// readings, in robust sigmas of that history.
   double scalar_spike_sigmas = 12.0;
-  std::size_t scalar_history = 16;
-  /// Consecutive clean checks before a quarantined channel is trusted again.
-  std::size_t release_after = 3;
 };
 
 /// Plausibility limits for the chiller's instrument suite.

@@ -1,14 +1,9 @@
 #include "mpros/dc/supervisor.hpp"
 
-#include "mpros/common/assert.hpp"
 #include "mpros/common/log.hpp"
 #include "mpros/telemetry/metrics.hpp"
 
 namespace mpros::dc {
-
-DcSupervisor::DcSupervisor(DcSupervisorConfig cfg) : cfg_(cfg) {
-  MPROS_EXPECTS(cfg.wedge_timeout.micros() > 0);
-}
 
 bool DcSupervisor::observe(DcId dc, std::uint64_t progress, SimTime now) {
   Watch& w = watches_[dc.value()];
@@ -18,7 +13,7 @@ bool DcSupervisor::observe(DcId dc, std::uint64_t progress, SimTime now) {
     w.last_change = now;
     return false;
   }
-  if (now - w.last_change < cfg_.wedge_timeout) return false;
+  if (now - w.last_change < kWedgeTimeout) return false;
 
   static telemetry::Counter& wedges =
       telemetry::Registry::instance().counter("dc.wedges_detected");

@@ -5,7 +5,7 @@
 // runaway analyzer — stops emitting reports and heartbeats, and the PDME's
 // liveness watchdog can only *report* the silence. The supervisor closes
 // the loop: every advance the assembler feeds it each DC's internal
-// progress tick; a DC whose tick has not moved for `wedge_timeout` of
+// progress tick; a DC whose tick has not moved for `kWedgeTimeout` of
 // simulated time is declared wedged, and the assembler tears it down and
 // restarts it from its salvageable state (persisted runtime config,
 // quarantine ledger, analyzer soft state, retransmit window) so the
@@ -20,17 +20,13 @@
 
 namespace mpros::dc {
 
-struct DcSupervisorConfig {
-  /// A DC whose progress tick has not advanced for this long is wedged.
-  /// Must comfortably exceed the assembler's step, or a slow step would
-  /// read as a hang.
-  SimTime wedge_timeout = SimTime::from_seconds(300.0);
-};
+/// A DC whose progress tick has not advanced for this long is wedged.
+/// Must comfortably exceed the assembler's step, or a slow step would read
+/// as a hang.
+inline constexpr SimTime kWedgeTimeout = SimTime::from_seconds(300.0);
 
 class DcSupervisor {
  public:
-  explicit DcSupervisor(DcSupervisorConfig cfg = {});
-
   /// Feed one DC's current progress tick at `now`. Returns true when the
   /// DC just crossed the wedge threshold — the caller restarts it and then
   /// reports the replacement via notify_restarted(). The verdict re-arms
@@ -53,7 +49,6 @@ class DcSupervisor {
     bool seen = false;
   };
 
-  DcSupervisorConfig cfg_;
   std::map<std::uint64_t, Watch> watches_;  // by DcId value
   Stats stats_;
 };

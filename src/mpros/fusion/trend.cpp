@@ -7,9 +7,22 @@
 
 namespace mpros::fusion {
 
+namespace {
+
+constexpr std::size_t kMinPoints = 3;     ///< history needed before projecting
+constexpr double kFailureSeverity = 1.0;  ///< severity treated as failure
+/// Severity slope below this (per day) is treated as "not degrading"
+/// (1e-3/day ≈ 3 years to traverse the severity scale — beyond any
+/// actionable horizon).
+constexpr double kMinSlopePerDay = 1e-3;
+/// Minimum fit quality before a projection is trusted; noisy plateaus
+/// (e.g. a fuzzy engine's saturated severity) must not project.
+constexpr double kMinRSquared = 0.4;
+
+}  // namespace
+
 TrendProjector::TrendProjector(TrendConfig cfg) : cfg_(cfg) {
-  MPROS_EXPECTS(cfg.min_points >= 2);
-  MPROS_EXPECTS(cfg.max_points >= cfg.min_points);
+  MPROS_EXPECTS(cfg.max_points >= kMinPoints);
 }
 
 void TrendProjector::linearize() {
@@ -45,7 +58,7 @@ void TrendProjector::observe(SimTime t, double severity) {
 }
 
 std::optional<TrendFit> TrendProjector::fit() const {
-  if (history_.size() < cfg_.min_points) return std::nullopt;
+  if (history_.size() < kMinPoints) return std::nullopt;
 
   // Index circularly from head_ so the sums accumulate in time order —
   // bit-identical to the flat-vector iteration this replaced.
@@ -80,13 +93,13 @@ std::optional<TrendFit> TrendProjector::fit() const {
 
 std::optional<SimTime> TrendProjector::time_to_failure(SimTime now) const {
   const auto f = fit();
-  if (!f || f->slope_per_day < cfg_.min_slope_per_day ||
-      f->r_squared < cfg_.min_r_squared) {
+  if (!f || f->slope_per_day < kMinSlopePerDay ||
+      f->r_squared < kMinRSquared) {
     return std::nullopt;
   }
 
   const double days_to_failure =
-      (cfg_.failure_severity - (f->intercept + f->slope_per_day * now.days())) /
+      (kFailureSeverity - (f->intercept + f->slope_per_day * now.days())) /
       f->slope_per_day;
   if (days_to_failure <= 0.0) return SimTime(0);
   return SimTime::from_days(days_to_failure);

@@ -17,16 +17,7 @@
 namespace mpros::fusion {
 
 struct TrendConfig {
-  std::size_t min_points = 3;     ///< history needed before projecting
   std::size_t max_points = 64;    ///< sliding window length
-  double failure_severity = 1.0;  ///< severity treated as functional failure
-  /// Severity slope below this (per day) is treated as "not degrading"
-  /// (1e-3/day ≈ 3 years to traverse the severity scale — beyond any
-  /// actionable horizon).
-  double min_slope_per_day = 1e-3;
-  /// Minimum fit quality before a projection is trusted; noisy plateaus
-  /// (e.g. a fuzzy engine's saturated severity) must not project.
-  double min_r_squared = 0.4;
 };
 
 /// Least-squares line fit over (time, severity) samples.

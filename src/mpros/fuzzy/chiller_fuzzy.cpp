@@ -1,6 +1,7 @@
 #include "mpros/fuzzy/chiller_fuzzy.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "mpros/common/assert.hpp"
 #include "mpros/rules/features.hpp"
@@ -21,6 +22,23 @@ using rules::feat::kSuperheat;
 using rules::feat::kWindingTemp;
 
 namespace {
+
+/// The crisp inputs `engine`'s rules read, taken from `snapshot`, each
+/// variable once; nullopt when any of them is missing (the engine abstains
+/// on fragmentary input, §5.1).
+std::optional<CrispInputs> gather_inputs(const MamdaniEngine& engine,
+                                         const ProcessSnapshot& snapshot) {
+  CrispInputs inputs;
+  for (const FuzzyRule& rule : engine.rules()) {
+    for (const Antecedent& a : rule.antecedents) {
+      if (inputs.contains(a.variable)) continue;
+      const auto it = snapshot.find(a.variable);
+      if (it == snapshot.end()) return std::nullopt;
+      inputs.emplace(a.variable, it->second);
+    }
+  }
+  return inputs;
+}
 
 /// Shared 0..1 severity output variable with four terms.
 LinguisticVariable severity_output() {
@@ -178,24 +196,11 @@ std::vector<rules::Diagnosis> FuzzyDiagnoser::evaluate(
     const rules::BelievabilityTable& beliefs) const {
   std::vector<rules::Diagnosis> out;
   for (const ModeEngine& me : engines_) {
-    CrispInputs inputs;
-    bool complete = true;
-    // Feed exactly the variables this engine declares; a missing sensor
-    // means the engine abstains (fragmentary input, §5.1).
-    for (const auto& rule : me.engine.rules()) {
-      for (const auto& a : rule.antecedents) {
-        const auto it = snapshot.find(a.variable);
-        if (it == snapshot.end()) {
-          complete = false;
-          break;
-        }
-        inputs[a.variable] = it->second;
-      }
-      if (!complete) break;
-    }
-    if (!complete) continue;
+    const std::optional<CrispInputs> inputs =
+        gather_inputs(me.engine, snapshot);
+    if (!inputs) continue;
 
-    const double severity = me.engine.infer(inputs);
+    const double severity = me.engine.infer(*inputs);
     if (severity < kFireThreshold) continue;
 
     rules::Diagnosis d;
@@ -220,15 +225,10 @@ double FuzzyDiagnoser::severity(domain::FailureMode mode,
                                 const ProcessSnapshot& snapshot) const {
   for (const ModeEngine& me : engines_) {
     if (me.mode != mode) continue;
-    CrispInputs inputs;
-    for (const auto& rule : me.engine.rules()) {
-      for (const auto& a : rule.antecedents) {
-        const auto it = snapshot.find(a.variable);
-        MPROS_EXPECTS(it != snapshot.end());
-        inputs[a.variable] = it->second;
-      }
-    }
-    return me.engine.infer(inputs);
+    const std::optional<CrispInputs> inputs =
+        gather_inputs(me.engine, snapshot);
+    MPROS_EXPECTS(inputs.has_value());
+    return me.engine.infer(*inputs);
   }
   return 0.0;
 }

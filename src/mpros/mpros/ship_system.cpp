@@ -1,5 +1,6 @@
 #include "mpros/mpros/ship_system.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 
@@ -17,14 +18,20 @@ constexpr const char* kDcConfigTable = "dc_config";
 constexpr const char* kDcHealthTable = "pdme_dc_health";
 /// ship_meta primary key of the committed-through clock row.
 constexpr std::int64_t kCommittedThroughKey = 1;
+/// Flight-recorder ring size, in journal entries.
+constexpr std::size_t kRecorderCapacity = 1 << 16;
+/// How long the step log keeps assembler step boundaries for a restarted
+/// DC's catch-up.
+constexpr SimTime kStepHorizon =
+    std::max(SimTime::from_hours(1.0),
+             SimTime(dc::kWedgeTimeout.micros() * 2));
 
 }  // namespace
 
 ShipSystem::ShipSystem(ShipSystemConfig cfg)
     : cfg_(cfg),
       network_(cfg.network),
-      pool_(cfg.worker_threads),
-      supervisor_(cfg.supervisor) {
+      pool_(cfg.worker_threads) {
   MPROS_EXPECTS(cfg.plant_count >= 1);
 
   if (cfg_.enable_durability) {
@@ -78,7 +85,7 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
 
   if (cfg.enable_flight_recorder) {
     recorder_ =
-        std::make_unique<telemetry::FlightRecorder>(cfg.recorder_capacity);
+        std::make_unique<telemetry::FlightRecorder>(kRecorderCapacity);
     telemetry::RecorderHeader header;
     header.pdme_dedup = cfg.pdme.deduplicate;
     header.plant_count = static_cast<std::uint32_t>(cfg.plant_count);
@@ -114,8 +121,7 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
   }
   pdme_->attach_to_network(network_);
   if (cfg.enable_fleet_analyzer) {
-    resident_ = std::make_unique<pdme::FleetComparativeAnalyzer>(
-        *pdme_, cfg.fleet_analyzer);
+    resident_ = std::make_unique<pdme::FleetComparativeAnalyzer>(*pdme_);
   }
 
   if (cfg.use_wnn) {
@@ -218,9 +224,6 @@ ShipSystem::ShipSystem(ShipSystemConfig cfg)
     }
   }
 
-  step_horizon_ = std::max(SimTime::from_hours(1.0),
-                           SimTime(cfg_.supervisor.wedge_timeout.micros() * 2));
-
   if (cfg_.uplink.enabled) {
     MPROS_EXPECTS(cfg_.uplink.summary_period.micros() > 0);
     MPROS_EXPECTS(cfg_.uplink.heartbeat_period.micros() > 0);
@@ -266,7 +269,7 @@ std::size_t ShipSystem::advance_to(SimTime t) {
   MPROS_EXPECTS(t >= now_);
   // Record the step boundary: a recovered DC replays exactly this grid.
   step_log_.push_back(t);
-  while (!step_log_.empty() && step_log_.front() + step_horizon_ < t) {
+  while (!step_log_.empty() && step_log_.front() + kStepHorizon < t) {
     step_log_.pop_front();
   }
 

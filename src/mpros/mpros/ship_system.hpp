@@ -63,19 +63,12 @@ struct ShipSystemConfig {
   /// Run the PDME-resident fleet-comparative analyzer (§5.7) once per
   /// advance_to() step.
   bool enable_fleet_analyzer = false;
-  pdme::FleetAnalyzerConfig fleet_analyzer;
   /// Journal every delivered datagram (plus notable DC events) into a
   /// bounded flight recorder; dump with flight_recorder()->dump(path) and
   /// replay with mpros::replay_file / tools/mpros_replay.
   bool enable_flight_recorder = false;
-  std::size_t recorder_capacity = 1 << 16;
   /// Fleet-tier membership (off by default: a lone ship has no shore).
   UplinkConfig uplink;
-  /// Supervised DC recovery (§4.9): every DC's progress tick is watched
-  /// each step; a DC that stops ticking for supervisor.wedge_timeout is torn
-  /// down and restarted from its salvage, then caught up slice-by-slice so
-  /// its output matches an unwedged run.
-  dc::DcSupervisorConfig supervisor;
   /// Durable OOSM (§4.6, "managed entirely in the background" — but
   /// crash-safe): journal the object model, each DC's persisted runtime
   /// config, and the PDME's DC-liveness records into a write-ahead log
@@ -238,12 +231,15 @@ class ShipSystem {
   std::vector<std::unique_ptr<dc::DataConcentrator>> dcs_;
   ThreadPool pool_;
   SimTime now_;
+  /// Supervised DC recovery (§4.9): every DC's progress tick is watched
+  /// each step; a DC that stops ticking for dc::kWedgeTimeout is torn down
+  /// and restarted from its salvage, then caught up slice-by-slice so its
+  /// output matches an unwedged run.
   dc::DcSupervisor supervisor_;
   /// Recent advance_to() end-times: the step grid a recovered DC's catch-up
-  /// replays. Pruned past twice the wedge timeout — wedges are detected
-  /// well inside that.
+  /// replays. Pruned past an hour (and at least twice the wedge timeout) —
+  /// wedges are detected well inside that.
   std::deque<SimTime> step_log_;
-  SimTime step_horizon_;
 
   // Fleet-tier uplink state (driver thread only, except the sender's own
   // internal lock — acks may arrive from the shore network's driver).

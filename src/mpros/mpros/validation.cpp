@@ -10,6 +10,13 @@ namespace mpros {
 
 using domain::FailureMode;
 
+namespace {
+
+/// Fraction of the wear life at which calibration is checkpointed.
+constexpr double kLateCheckpoint = 0.85;
+
+}  // namespace
+
 dc::DcConfig ValidationConfig::long_haul_dc_config() {
   dc::DcConfig dc;
   dc.vibration_period = SimTime::from_hours(6.0);
@@ -20,7 +27,6 @@ dc::DcConfig ValidationConfig::long_haul_dc_config() {
 ScenarioScore run_scenario(const ValidationScenario& scenario,
                            const ValidationConfig& cfg) {
   MPROS_EXPECTS(scenario.wear_time.micros() > 0);
-  MPROS_EXPECTS(cfg.late_checkpoint > 0.0 && cfg.late_checkpoint < 1.0);
 
   ShipSystemConfig ship_cfg;
   ship_cfg.plant_count = 2;  // plant 0 faulted, plant 1 healthy control
@@ -47,7 +53,7 @@ ScenarioScore run_scenario(const ValidationScenario& scenario,
 
   const SimTime checkpoint =
       scenario.onset + SimTime(static_cast<std::int64_t>(
-                           cfg.late_checkpoint *
+                           kLateCheckpoint *
                            static_cast<double>(scenario.wear_time.micros())));
   bool checkpoint_taken = false;
 

@@ -70,8 +70,6 @@ struct ValidationSummary {
 struct ValidationConfig {
   /// Scenario driver step; detection timestamps are quantized to this.
   SimTime step = SimTime::from_hours(3.0);
-  /// Fraction of the wear life at which calibration is checkpointed.
-  double late_checkpoint = 0.85;
   dc::DcConfig dc = long_haul_dc_config();  ///< analyzers under validation
 
   /// Test cadence suited to multi-week scenarios (vibration every 6 h,

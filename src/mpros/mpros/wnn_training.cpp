@@ -9,6 +9,9 @@ using domain::FailureMode;
 
 namespace {
 
+constexpr std::size_t kWindowSamples = 4096;  ///< samples per training window
+constexpr double kBurstPeriodS = 0.05;        ///< transient burst period
+
 /// Modes whose signature is visible in a vibration window (the classifier's
 /// non-trivial classes); process-only modes are left to the fuzzy system.
 constexpr FailureMode kVibrationModes[] = {
@@ -43,7 +46,7 @@ std::vector<nn::LabelledWindow> make_training_windows(
   const auto make_window = [&](FailureMode mode, bool healthy) {
     nn::LabelledWindow w;
     w.sample_rate_hz = cfg.sample_rate_hz;
-    w.waveform.resize(cfg.window_samples);
+    w.waveform.resize(kWindowSamples);
     w.context.load_fraction = rng.uniform(0.5, 1.0);
     w.context.shaft_hz = domain::navy_chiller_signature().shaft_hz;
     w.context.bearing_temp_c = rng.uniform(50.0, 60.0);
@@ -58,7 +61,7 @@ std::vector<nn::LabelledWindow> make_training_windows(
       }
     }
     plant::TransientProfile transient;
-    transient.period_s = cfg.burst_period_s;
+    transient.period_s = kBurstPeriodS;
     if (!healthy && cfg.min_duty < 1.0) {
       transient.duty = rng.uniform(cfg.min_duty, 1.0);
     }

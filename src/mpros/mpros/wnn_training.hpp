@@ -14,14 +14,12 @@ namespace mpros {
 
 struct WnnTrainingConfig {
   std::size_t windows_per_class = 12;
-  std::size_t window_samples = 4096;
   double sample_rate_hz = 40960.0;
   double min_severity = 0.45;
   double max_severity = 0.95;
   /// Expose the classifier to transitory faults: per-window burst duty is
   /// drawn uniformly from [min_duty, 1]. 1.0 keeps training steady-state.
   double min_duty = 1.0;
-  double burst_period_s = 0.05;
   std::uint64_t seed = 0x7EAC4;
   nn::WnnConfig classifier;
 };

@@ -23,23 +23,31 @@ std::optional<domain::FailureMode> wnn_mode(std::size_t label) {
   return static_cast<domain::FailureMode>(label - 1);
 }
 
+namespace {
+
+constexpr std::size_t kWavelons = 24;      ///< hidden wavelon units
+constexpr std::size_t kDctCoeffs = 8;      ///< leading DCT coefficients
+constexpr std::size_t kWaveletLevels = 6;  ///< Db4 decomposition depth
+
+}  // namespace
+
 WnnClassifier::WnnClassifier(WnnConfig cfg, std::uint64_t seed)
     : cfg_(cfg), rng_(seed) {
   const std::size_t dim = feature_count();
-  net_.add_wavelet(dim, cfg_.wavelons, rng_);
-  net_.add_dense(cfg_.wavelons, kWnnClassCount, Activation::Linear, rng_);
+  net_.add_wavelet(dim, kWavelons, rng_);
+  net_.add_dense(kWavelons, kWnnClassCount, Activation::Linear, rng_);
 }
 
 std::size_t WnnClassifier::feature_count() const {
   // 4 statistics + 2 cepstral + dct + (wavelet levels + 1 approx + entropy)
   // + 3 context values.
-  return 4 + 2 + cfg_.dct_coeffs + (cfg_.wavelet_levels + 2) + 3;
+  return 4 + 2 + kDctCoeffs + (kWaveletLevels + 2) + 3;
 }
 
 std::vector<double> WnnClassifier::features(std::span<const double> waveform,
                                             double sample_rate_hz,
                                             const WnnContext& ctx) const {
-  MPROS_EXPECTS(waveform.size() >= (std::size_t{1} << cfg_.wavelet_levels));
+  MPROS_EXPECTS(waveform.size() >= (std::size_t{1} << kWaveletLevels));
   std::vector<double> f;
   f.reserve(feature_count());
 
@@ -76,17 +84,17 @@ std::vector<double> WnnClassifier::features(std::span<const double> waveform,
     log_spec[i] = std::log10(spec.amplitude[i] + 1e-9);
   }
   const std::size_t dct_at = f.size();
-  f.resize(dct_at + cfg_.dct_coeffs);
+  f.resize(dct_at + kDctCoeffs);
   dsp::dct2_truncated(log_spec,
-                      std::span<double>(f).subspan(dct_at, cfg_.dct_coeffs));
+                      std::span<double>(f).subspan(dct_at, kDctCoeffs));
 
   // Wavelet map: per-scale relative energies + entropy. Truncate the window
   // to a multiple of 2^levels.
-  const std::size_t block = std::size_t{1} << cfg_.wavelet_levels;
+  const std::size_t block = std::size_t{1} << kWaveletLevels;
   const std::size_t usable = (waveform.size() / block) * block;
   static thread_local std::vector<double> wmap;
   wavelet::wavelet_feature_vector(waveform.subspan(0, usable),
-                                  wavelet::Family::Db4, cfg_.wavelet_levels,
+                                  wavelet::Family::Db4, kWaveletLevels,
                                   wmap);
   f.insert(f.end(), wmap.begin(), wmap.end());
 

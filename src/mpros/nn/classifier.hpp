@@ -45,9 +45,6 @@ struct LabelledWindow {
 
 /// Classifier hyper-parameters.
 struct WnnConfig {
-  std::size_t wavelons = 24;
-  std::size_t dct_coeffs = 8;
-  std::size_t wavelet_levels = 6;
   TrainConfig train;
 };
 

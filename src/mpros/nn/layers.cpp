@@ -7,6 +7,13 @@
 
 namespace mpros::nn {
 
+namespace {
+
+/// SGD momentum: the share of the previous update carried into the next.
+constexpr double kMomentum = 0.9;
+
+}  // namespace
+
 DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act,
                        Rng& rng)
     : in_(in), out_(out), act_(act) {
@@ -61,17 +68,16 @@ std::span<const double> DenseLayer::backward(std::span<const double> grad_out) {
   return grad_in_;
 }
 
-void DenseLayer::apply_gradients(double learning_rate, double momentum,
-                                 std::size_t batch) {
+void DenseLayer::apply_gradients(double learning_rate, std::size_t batch) {
   MPROS_EXPECTS(batch > 0);
   const double scale = learning_rate / static_cast<double>(batch);
   for (std::size_t i = 0; i < w_.size(); ++i) {
-    vel_w_[i] = momentum * vel_w_[i] - scale * grad_w_[i];
+    vel_w_[i] = kMomentum * vel_w_[i] - scale * grad_w_[i];
     w_[i] += vel_w_[i];
     grad_w_[i] = 0.0;
   }
   for (std::size_t i = 0; i < b_.size(); ++i) {
-    vel_b_[i] = momentum * vel_b_[i] - scale * grad_b_[i];
+    vel_b_[i] = kMomentum * vel_b_[i] - scale * grad_b_[i];
     b_[i] += vel_b_[i];
     grad_b_[i] = 0.0;
   }
@@ -176,21 +182,21 @@ std::span<const double> WaveletLayer::backward(
   return grad_in_;
 }
 
-void WaveletLayer::apply_gradients(double learning_rate, double momentum,
+void WaveletLayer::apply_gradients(double learning_rate,
                                    std::size_t batch) {
   MPROS_EXPECTS(batch > 0);
   const double scale = learning_rate / static_cast<double>(batch);
   for (std::size_t i = 0; i < a_.size(); ++i) {
-    vel_a_[i] = momentum * vel_a_[i] - scale * grad_a_[i];
+    vel_a_[i] = kMomentum * vel_a_[i] - scale * grad_a_[i];
     a_[i] += vel_a_[i];
     grad_a_[i] = 0.0;
   }
   for (std::size_t u = 0; u < units_; ++u) {
-    vel_t_[u] = momentum * vel_t_[u] - scale * grad_t_[u];
+    vel_t_[u] = kMomentum * vel_t_[u] - scale * grad_t_[u];
     t_[u] += vel_t_[u];
     grad_t_[u] = 0.0;
 
-    vel_l_[u] = momentum * vel_l_[u] - scale * grad_l_[u];
+    vel_l_[u] = kMomentum * vel_l_[u] - scale * grad_l_[u];
     lambda_[u] = std::max(kMinDilation, lambda_[u] + vel_l_[u]);
     grad_l_[u] = 0.0;
   }

@@ -40,10 +40,9 @@ class Layer {
   /// return dL/d(input).
   virtual std::span<const double> backward(std::span<const double> grad_out) = 0;
 
-  /// Apply accumulated gradients (scaled by 1/batch) with momentum; clears
-  /// the accumulators.
-  virtual void apply_gradients(double learning_rate, double momentum,
-                               std::size_t batch) = 0;
+  /// Apply accumulated gradients (scaled by 1/batch) with momentum 0.9;
+  /// clears the accumulators.
+  virtual void apply_gradients(double learning_rate, std::size_t batch) = 0;
 
   /// Number of trainable parameters.
   [[nodiscard]] virtual std::size_t parameter_count() const = 0;
@@ -66,8 +65,7 @@ class DenseLayer final : public Layer {
   std::span<const double> forward(std::span<const double> x) override;
   void infer(std::span<const double> x, std::span<double> out) const override;
   std::span<const double> backward(std::span<const double> grad_out) override;
-  void apply_gradients(double learning_rate, double momentum,
-                       std::size_t batch) override;
+  void apply_gradients(double learning_rate, std::size_t batch) override;
   [[nodiscard]] std::size_t parameter_count() const override;
   void export_parameters(std::vector<double>& out) const override;
   void import_parameters(std::span<const double> params,
@@ -92,8 +90,7 @@ class WaveletLayer final : public Layer {
   std::span<const double> forward(std::span<const double> x) override;
   void infer(std::span<const double> x, std::span<double> out) const override;
   std::span<const double> backward(std::span<const double> grad_out) override;
-  void apply_gradients(double learning_rate, double momentum,
-                       std::size_t batch) override;
+  void apply_gradients(double learning_rate, std::size_t batch) override;
   [[nodiscard]] std::size_t parameter_count() const override;
   void export_parameters(std::vector<double>& out) const override;
   void import_parameters(std::span<const double> params,

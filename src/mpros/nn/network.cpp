@@ -144,7 +144,7 @@ TrainStats Network::train(std::span<const Example> examples,
 
       if (++in_batch == cfg.batch_size || n + 1 == order.size()) {
         for (auto& layer : layers_) {
-          layer->apply_gradients(cfg.learning_rate, cfg.momentum, in_batch);
+          layer->apply_gradients(cfg.learning_rate, in_batch);
         }
         in_batch = 0;
       }

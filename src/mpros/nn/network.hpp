@@ -12,7 +12,6 @@ namespace mpros::nn {
 
 struct TrainConfig {
   double learning_rate = 0.05;
-  double momentum = 0.9;
   std::size_t batch_size = 16;
   std::size_t epochs = 200;
   double target_loss = 0.05;  ///< stop early when train loss drops below

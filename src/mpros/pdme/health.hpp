@@ -20,15 +20,6 @@
 
 namespace mpros::pdme {
 
-struct HealthConfig {
-  /// Weight of the worst child vs the mean of the children when rolling up
-  /// (1 = min-only: a chain is as healthy as its sickest link).
-  double worst_child_weight = 0.7;
-  /// How strongly a fused belief at a given severity hurts own health:
-  /// own = Π (1 - belief * severity * impact).
-  double impact = 1.0;
-};
-
 struct HealthEntry {
   ObjectId object;
   double own = 1.0;     ///< from conclusions against this object directly
@@ -37,8 +28,6 @@ struct HealthEntry {
 
 class HealthRollup {
  public:
-  explicit HealthRollup(HealthConfig cfg = {});
-
   /// Compute health for every object in the model. Objects outside any
   /// PartOf tree still get their own-health entry.
   [[nodiscard]] std::map<ObjectId, HealthEntry> compute(
@@ -51,13 +40,6 @@ class HealthRollup {
   /// Text tree of the ship's health, worst subsystems first per level.
   [[nodiscard]] std::string render_tree(const PdmeExecutive& pdme,
                                         ObjectId root) const;
-
- private:
-  double rolled_health(const oosm::ObjectModel& model,
-                       const std::map<ObjectId, double>& own,
-                       std::map<ObjectId, double>& memo, ObjectId id) const;
-
-  HealthConfig cfg_;
 };
 
 }  // namespace mpros::pdme

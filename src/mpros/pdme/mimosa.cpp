@@ -14,14 +14,18 @@ std::string sanitize(std::string s) {
   return s;
 }
 
+/// Health grade thresholds on fused belief x severity.
+constexpr double kGradeWarning = 0.10;
+constexpr double kGradeAlert = 0.35;
+constexpr double kGradeCritical = 0.60;
+
 }  // namespace
 
-const char* mimosa_grade(const MaintenanceItem& item,
-                         const MimosaConfig& cfg) {
+const char* mimosa_grade(const MaintenanceItem& item) {
   const double risk = item.fused_belief * std::max(0.1, item.max_severity);
-  if (risk >= cfg.grade_critical) return "CRITICAL";
-  if (risk >= cfg.grade_alert) return "ALERT";
-  if (risk >= cfg.grade_warning) return "WARNING";
+  if (risk >= kGradeCritical) return "CRITICAL";
+  if (risk >= kGradeAlert) return "ALERT";
+  if (risk >= kGradeWarning) return "WARNING";
   return "NORMAL";
 }
 
@@ -56,7 +60,7 @@ std::string export_mimosa(const PdmeExecutive& pdme,
                   cfg.site_id.c_str(),
                   static_cast<unsigned long long>(item.machine.value()),
                   sanitize(domain::condition_text(item.mode)).c_str(),
-                  mimosa_grade(item, cfg), item.fused_belief,
+                  mimosa_grade(item), item.fused_belief,
                   item.max_severity, item.report_count);
     out += buf;
 

@@ -21,10 +21,6 @@ struct MimosaConfig {
   std::string site_id = "USNS-MERCY";
   /// Agent (the reporting system) identity.
   std::string agent_id = "MPROS-PDME";
-  /// Health grade thresholds on fused belief x severity.
-  double grade_warning = 0.10;
-  double grade_alert = 0.35;
-  double grade_critical = 0.60;
 };
 
 /// Record types emitted:
@@ -36,8 +32,8 @@ struct MimosaConfig {
                                         const oosm::ObjectModel& model,
                                         const MimosaConfig& cfg = {});
 
-/// Grade for one maintenance item under the config thresholds.
-[[nodiscard]] const char* mimosa_grade(const MaintenanceItem& item,
-                                       const MimosaConfig& cfg = {});
+/// Grade for one maintenance item: fused belief x severity of at least
+/// 0.10 is WARNING, 0.35 ALERT, 0.60 CRITICAL.
+[[nodiscard]] const char* mimosa_grade(const MaintenanceItem& item);
 
 }  // namespace mpros::pdme

@@ -19,6 +19,17 @@ using domain::FailureMode;
 
 namespace {
 
+/// Closer-look trigger: report severity at or above this...
+constexpr double kRetestSeverity = 0.70;
+/// ...while the group's unknown mass is still at least this.
+constexpr double kRetestUnknown = 0.20;
+/// At most one closer-look command per (machine, mode) per this much
+/// report time.
+constexpr SimTime kRetestBackoff = SimTime::from_hours(1.0);
+/// Missed heartbeat intervals before a DC reads Stale, then Lost.
+constexpr std::size_t kStaleAfterMissed = 2;
+constexpr std::size_t kLostAfterMissed = 3;
+
 /// Registry handles resolved once; observations are relaxed atomics after.
 /// Counters are process-wide, shared by every executive (the Registry dedups
 /// by name).
@@ -420,7 +431,7 @@ void PdmeExecutive::note_sensor_fault(const net::FailureReport& r) {
 void PdmeExecutive::maybe_retest(const net::FailureReport& r,
                                  FailureMode mode) {
   if (network_ == nullptr || !cfg_.auto_retest ||
-      r.severity < cfg_.retest_severity) {
+      r.severity < kRetestSeverity) {
     return;
   }
   const fusion::GroupState group =
@@ -428,12 +439,12 @@ void PdmeExecutive::maybe_retest(const net::FailureReport& r,
   // Already corroborated: several reports and little unknown mass left. A
   // first-ever severe report always earns a closer look, however confident
   // its source was.
-  if (group.report_count > 1 && group.unknown < cfg_.retest_unknown) return;
+  if (group.report_count > 1 && group.unknown < kRetestUnknown) return;
 
   const ModeKey key{r.sensed_object.value(), mode};
   const auto last = last_retest_.find(key);
   if (last != last_retest_.end() &&
-      r.timestamp - last->second < cfg_.retest_backoff) {
+      r.timestamp - last->second < kRetestBackoff) {
     return;
   }
   last_retest_[key] = r.timestamp;
@@ -530,9 +541,9 @@ void PdmeExecutive::update_liveness(SimTime now) {
     const auto missed = static_cast<std::size_t>(
         silent.micros() / cfg_.heartbeat_interval.micros());
     DcLiveness verdict = DcLiveness::Alive;
-    if (missed >= cfg_.lost_after_missed) {
+    if (missed >= kLostAfterMissed) {
       verdict = DcLiveness::Lost;
-    } else if (missed >= cfg_.stale_after_missed) {
+    } else if (missed >= kStaleAfterMissed) {
       verdict = DcLiveness::Stale;
     }
     if (verdict != h.liveness) {
@@ -739,7 +750,7 @@ std::uint64_t PdmeExecutive::send_command(
 
   auto& sender = command_senders_[dc.value()];
   if (!sender) {
-    sender = std::make_unique<net::ReliableSender>(dc, cfg_.command_reliable);
+    sender = std::make_unique<net::ReliableSender>(dc);
   }
   std::vector<std::uint8_t> payload = sender->envelope(cmd, at);
   if (network_ != nullptr) {

@@ -63,29 +63,18 @@ struct PdmeConfig {
   /// nothing — exact duplicates (retransmissions) are dropped by signature.
   bool deduplicate = true;
 
-  /// Adaptive "closer look" (§6.3): when a fused report crosses
-  /// `retest_severity` while the group still carries real unknown mass, the
-  /// PDME commands the originating DC to run an immediate vibration test.
-  /// Requires attach_to_network(); at most one command per (machine, mode)
-  /// per `retest_backoff` of report time.
+  /// Adaptive "closer look" (§6.3): when a severe fused report arrives
+  /// while its group still carries real unknown mass, the PDME commands the
+  /// originating DC to run an immediate vibration test. Requires
+  /// attach_to_network(); at most one command per (machine, mode) per hour
+  /// of report time.
   bool auto_retest = false;
-  double retest_severity = 0.70;
-  double retest_unknown = 0.20;
-  SimTime retest_backoff = SimTime::from_hours(1.0);
 
   /// DC liveness supervision: the watchdog interval the DCs are expected to
   /// beat (matches DcConfig::heartbeat_period in the assembled system). A
-  /// machinery space silent for `stale_after_missed` intervals is Stale,
-  /// for `lost_after_missed` intervals Lost. Any report, heartbeat or
-  /// sensor batch from the DC restores Alive.
+  /// machinery space silent for two intervals is Stale, for three Lost. Any
+  /// report, heartbeat or sensor batch from the DC restores Alive.
   SimTime heartbeat_interval = SimTime::from_seconds(60.0);
-  std::size_t stale_after_missed = 2;
-  std::size_t lost_after_missed = 3;
-
-  /// Control plane: reliable-delivery tuning for the per-DC command streams
-  /// (send_command). Same ack algebra as the report path, opposite
-  /// direction.
-  net::ReliableConfig command_reliable;
 };
 
 /// The latest word on each instrument channel the validators flagged:

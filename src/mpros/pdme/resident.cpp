@@ -10,14 +10,22 @@ namespace mpros::pdme {
 
 using domain::FailureMode;
 
-FleetComparativeAnalyzer::FleetComparativeAnalyzer(PdmeExecutive& pdme,
-                                                   FleetAnalyzerConfig cfg)
-    : pdme_(pdme), cfg_(cfg) {
-  MPROS_EXPECTS(cfg.min_fleet >= 3);
-  MPROS_EXPECTS(cfg.z_threshold > 0.0);
-}
-
 namespace {
+
+/// Minimum sister plants (including the suspect) for a comparison.
+constexpr std::size_t kMinFleet = 3;
+/// Deviation from the fleet median, in units of the fleet's median absolute
+/// deviation (robust z-score), before a report is issued.
+constexpr double kZThreshold = 4.0;
+/// Floors on the absolute deviation so tight fleets don't false-alarm.
+constexpr double kMinCondKpaDelta = 120.0;
+constexpr double kMinEvapKpaDelta = 50.0;
+constexpr double kReportBelief = 0.70;
+/// Re-report a standing outlier only when its severity moves by this much
+/// or after kReportRefresh (repeated identical comparisons are not
+/// independent evidence for Dempster-Shafer).
+constexpr double kReportHysteresis = 0.05;
+constexpr SimTime kReportRefresh = SimTime::from_hours(1.0);
 
 double median(std::vector<double> v) {
   MPROS_EXPECTS(!v.empty());
@@ -43,7 +51,7 @@ FleetComparativeAnalyzer::outliers(const std::string& key,
       readings.emplace_back(chiller, value->numeric());
     }
   }
-  if (readings.size() < cfg_.min_fleet) return {};
+  if (readings.size() < kMinFleet) return {};
 
   std::vector<double> values;
   values.reserve(readings.size());
@@ -55,13 +63,13 @@ FleetComparativeAnalyzer::outliers(const std::string& key,
   for (const double v : values) abs_dev.push_back(std::fabs(v - med));
   // MAD with a floor: a perfectly uniform fleet should still require the
   // absolute-delta threshold to flag anything.
-  const double mad = std::max(median(abs_dev), min_delta / cfg_.z_threshold);
+  const double mad = std::max(median(abs_dev), min_delta / kZThreshold);
 
   std::vector<Deviation> out;
   for (const auto& [id, v] : readings) {
     const double delta = v - med;
     const double z = delta / mad;
-    if (std::fabs(delta) >= min_delta && std::fabs(z) >= cfg_.z_threshold) {
+    if (std::fabs(delta) >= min_delta && std::fabs(z) >= kZThreshold) {
       out.push_back(Deviation{id, v, med, z});
     }
   }
@@ -78,8 +86,8 @@ net::FailureReport FleetComparativeAnalyzer::make_report(
   r.machine_condition = domain::condition_id(mode);
   // Severity scales with how far past the trip threshold the outlier sits.
   r.severity = std::clamp(
-      0.35 + 0.10 * (std::fabs(d.robust_z) - cfg_.z_threshold), 0.2, 0.8);
-  r.belief = cfg_.report_belief;
+      0.35 + 0.10 * (std::fabs(d.robust_z) - kZThreshold), 0.2, 0.8);
+  r.belief = kReportBelief;
   r.explanation = what + ": fleet median " + std::to_string(d.fleet_median) +
                   ", this plant " + std::to_string(d.value);
   r.recommendations =
@@ -99,7 +107,7 @@ std::vector<net::FailureReport> FleetComparativeAnalyzer::scan(SimTime now) {
   // High condensing pressure relative to sisters sharing the same seawater
   // supply: fouling in that plant's condenser.
   for (const Deviation& d :
-       outliers("process.cond_pressure_kpa", cfg_.min_cond_kpa_delta)) {
+       outliers("process.cond_pressure_kpa", kMinCondKpaDelta)) {
     ++stats_.comparisons;
     if (d.robust_z > 0.0) {
       issued.push_back(make_report(d, FailureMode::CondenserFouling,
@@ -110,7 +118,7 @@ std::vector<net::FailureReport> FleetComparativeAnalyzer::scan(SimTime now) {
   // Low evaporator pressure relative to sisters under comparable load:
   // refrigerant inventory problem in that plant.
   for (const Deviation& d :
-       outliers("process.evap_pressure_kpa", cfg_.min_evap_kpa_delta)) {
+       outliers("process.evap_pressure_kpa", kMinEvapKpaDelta)) {
     ++stats_.comparisons;
     if (d.robust_z < 0.0) {
       issued.push_back(make_report(d, FailureMode::RefrigerantLeak,
@@ -125,9 +133,9 @@ std::vector<net::FailureReport> FleetComparativeAnalyzer::scan(SimTime now) {
                                       domain::failure_mode(
                                           r.machine_condition)}];
     const bool moved =
-        std::fabs(r.severity - last.severity) >= cfg_.report_hysteresis;
+        std::fabs(r.severity - last.severity) >= kReportHysteresis;
     const bool refresh_due =
-        last.at.micros() < 0 || now - last.at >= cfg_.report_refresh;
+        last.at.micros() < 0 || now - last.at >= kReportRefresh;
     if (!moved && !refresh_due) continue;
     last.severity = r.severity;
     last.at = now;

@@ -25,29 +25,11 @@ namespace mpros::pdme {
 /// (DC-resident sources are 1..4).
 inline constexpr KnowledgeSourceId kPdmeModelBased{5};
 
-struct FleetAnalyzerConfig {
-  /// Minimum sister plants (including the suspect) for a comparison.
-  std::size_t min_fleet = 3;
-  /// Deviation from the fleet median, in units of the fleet's median
-  /// absolute deviation (robust z-score), before a report is issued.
-  double z_threshold = 4.0;
-  /// Floor on the absolute deviation so tight fleets don't false-alarm.
-  double min_cond_kpa_delta = 120.0;
-  double min_evap_kpa_delta = 50.0;
-  double report_belief = 0.70;
-  /// Re-report a standing outlier only when its severity moves by this
-  /// much or after `report_refresh` (repeated identical comparisons are
-  /// not independent evidence for Dempster-Shafer).
-  double report_hysteresis = 0.05;
-  SimTime report_refresh = SimTime::from_hours(1.0);
-};
-
 class FleetComparativeAnalyzer {
  public:
   /// The analyzer reads `pdme.model()` and posts conclusions back through
   /// `pdme.accept()`; both must outlive it.
-  FleetComparativeAnalyzer(PdmeExecutive& pdme,
-                           FleetAnalyzerConfig cfg = {});
+  explicit FleetComparativeAnalyzer(PdmeExecutive& pdme) : pdme_(pdme) {}
 
   /// One comparison pass over every chiller with fresh telemetry.
   /// Returns the §7 reports issued (already accepted into the PDME).
@@ -74,7 +56,6 @@ class FleetComparativeAnalyzer {
                                  const std::string& what, SimTime now) const;
 
   PdmeExecutive& pdme_;
-  FleetAnalyzerConfig cfg_;
   struct LastReport {
     double severity = -1.0;
     SimTime at{-1};

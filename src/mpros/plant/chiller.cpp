@@ -9,8 +9,9 @@ namespace mpros::plant {
 ChillerSimulator::ChillerSimulator(ChillerConfig cfg)
     : cfg_(cfg),
       sensor_faults_(splitmix64(cfg.seed ^ 0x33)),
-      process_(cfg.nominals, splitmix64(cfg.seed ^ 0x11)),
-      vibration_(cfg.signature, splitmix64(cfg.seed ^ 0x22)) {}
+      process_(domain::navy_chiller_nominals(), splitmix64(cfg.seed ^ 0x11)),
+      vibration_(domain::navy_chiller_signature(),
+                 splitmix64(cfg.seed ^ 0x22)) {}
 
 void ChillerSimulator::schedule_load(SimTime at, double fraction) {
   MPROS_EXPECTS(fraction >= 0.0 && fraction <= 1.2);

@@ -17,9 +17,9 @@
 
 namespace mpros::plant {
 
+/// One Navy chiller plant (domain::navy_chiller_signature and
+/// navy_chiller_nominals) at the given load.
 struct ChillerConfig {
-  domain::MachineSignature signature = domain::navy_chiller_signature();
-  domain::ProcessNominals nominals = domain::navy_chiller_nominals();
   double load_fraction = 0.8;
   std::uint64_t seed = 0xC411E7;
 };
@@ -73,7 +73,7 @@ class ChillerSimulator {
   [[nodiscard]] Severities truth() const { return faults_.all_at(now()); }
 
   [[nodiscard]] const domain::MachineSignature& signature() const {
-    return cfg_.signature;
+    return vibration_.signature();
   }
 
  private:

@@ -29,23 +29,17 @@ struct DaqMetrics {
 
 }  // namespace
 
-DaqChain::DaqChain(DaqConfig cfg, SignalSource source)
-    : cfg_(cfg), source_(std::move(source)) {
+DaqChain::DaqChain(SignalSource source) : source_(std::move(source)) {
   MPROS_EXPECTS(source_ != nullptr);
-  MPROS_EXPECTS(cfg_.max_sample_rate_hz > 0.0);
   const std::size_t n = channel_count();
   thresholds_.assign(n, std::nullopt);
   latched_.assign(n, false);
   const double tc_samples =
-      cfg_.rms_time_constant.seconds() * cfg_.alarm_sample_rate_hz;
+      kRmsTimeConstant.seconds() * kAlarmSampleRateHz;
   trackers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     trackers_.emplace_back(tc_samples);
   }
-}
-
-std::size_t DaqChain::channel_count() const {
-  return cfg_.mux_cards * cfg_.banks_per_card * cfg_.channels_per_bank;
 }
 
 void DaqChain::set_alarm_threshold(std::size_t channel,
@@ -57,28 +51,28 @@ void DaqChain::set_alarm_threshold(std::size_t channel,
 BankAcquisition DaqChain::acquire_bank(std::size_t card, std::size_t bank,
                                        std::size_t samples,
                                        double sample_rate_hz, SimTime now) {
-  MPROS_EXPECTS(card < cfg_.mux_cards);
-  MPROS_EXPECTS(bank < cfg_.banks_per_card);
+  MPROS_EXPECTS(card < kMuxCards);
+  MPROS_EXPECTS(bank < kBanksPerCard);
   MPROS_EXPECTS(samples > 0);
-  const double rate = std::min(sample_rate_hz, cfg_.max_sample_rate_hz);
+  const double rate = std::min(sample_rate_hz, kMaxSampleRateHz);
 
   BankAcquisition out;
   out.started = now;
-  const SimTime record_start = now + cfg_.mux_settle;
+  const SimTime record_start = now + kMuxSettle;
   const SimTime record_length = SimTime::from_seconds(
       static_cast<double>(samples) / rate);
   out.finished = record_start + record_length;
 
   const std::size_t base =
-      (card * cfg_.banks_per_card + bank) * cfg_.channels_per_bank;
-  for (std::size_t c = 0; c < cfg_.channels_per_bank; ++c) {
+      (card * kBanksPerCard + bank) * kChannelsPerBank;
+  for (std::size_t c = 0; c < kChannelsPerBank; ++c) {
     std::vector<double> waveform(samples);
     source_(base + c, record_start.seconds(), rate, waveform);
     out.waveforms.push_back(std::move(waveform));
     out.channels.push_back(base + c);
   }
   DaqMetrics::get().banks_acquired.inc();
-  DaqMetrics::get().samples_digitized.inc(samples * cfg_.channels_per_bank);
+  DaqMetrics::get().samples_digitized.inc(samples * kChannelsPerBank);
   return out;
 }
 
@@ -87,8 +81,8 @@ DaqChain::FullScan DaqChain::scan_all(std::size_t samples_per_channel,
   FullScan scan;
   scan.waveforms.resize(channel_count());
   SimTime t = now;
-  for (std::size_t card = 0; card < cfg_.mux_cards; ++card) {
-    for (std::size_t bank = 0; bank < cfg_.banks_per_card; ++bank) {
+  for (std::size_t card = 0; card < kMuxCards; ++card) {
+    for (std::size_t bank = 0; bank < kBanksPerCard; ++bank) {
       BankAcquisition acq =
           acquire_bank(card, bank, samples_per_channel, sample_rate_hz, t);
       for (std::size_t c = 0; c < acq.channels.size(); ++c) {
@@ -107,21 +101,21 @@ DaqChain::FullScan DaqChain::scan_all(std::size_t samples_per_channel,
 std::vector<RmsAlarm> DaqChain::poll_alarms(SimTime now, SimTime duration) {
   MPROS_EXPECTS(duration.micros() > 0);
   const auto samples = static_cast<std::size_t>(
-      duration.seconds() * cfg_.alarm_sample_rate_hz);
+      duration.seconds() * kAlarmSampleRateHz);
   std::vector<RmsAlarm> alarms;
   if (samples == 0) return alarms;
 
   scratch_.resize(samples);
   for (std::size_t ch = 0; ch < channel_count(); ++ch) {
     if (!thresholds_[ch] || latched_[ch]) continue;
-    source_(ch, now.seconds(), cfg_.alarm_sample_rate_hz, scratch_);
+    source_(ch, now.seconds(), kAlarmSampleRateHz, scratch_);
     for (std::size_t i = 0; i < samples; ++i) {
       const double rms = trackers_[ch].step(scratch_[i]);
       if (rms > *thresholds_[ch]) {
         alarms.push_back(RmsAlarm{
             ch,
             now + SimTime::from_seconds(static_cast<double>(i) /
-                                        cfg_.alarm_sample_rate_hz),
+                                        kAlarmSampleRateHz),
             rms});
         latched_[ch] = true;
         DaqMetrics::get().rms_alarms.inc();

@@ -23,17 +23,17 @@ using SignalSource = std::function<void(
     std::size_t channel, double t0_s, double sample_rate_hz,
     std::span<double> out)>;
 
-struct DaqConfig {
-  std::size_t mux_cards = 2;
-  std::size_t banks_per_card = 4;
-  std::size_t channels_per_bank = 4;
-  double max_sample_rate_hz = 51200.0;  ///< "exceeds 40,000 Hz"
-  SimTime mux_settle = SimTime::from_millis(2.0);  ///< per bank switch
-  /// RMS detectors: analog, modelled at this internal sampling rate with an
-  /// exponential window of `rms_time_constant`.
-  double alarm_sample_rate_hz = 4096.0;
-  SimTime rms_time_constant = SimTime::from_millis(50.0);
-};
+/// The Fig 5 layout: two MUX cards of four banks, four channels per bank.
+inline constexpr std::size_t kMuxCards = 2;
+inline constexpr std::size_t kBanksPerCard = 4;
+inline constexpr std::size_t kChannelsPerBank = 4;
+inline constexpr double kMaxSampleRateHz = 51200.0;  ///< "exceeds 40,000 Hz"
+/// Settling time per bank switch.
+inline constexpr SimTime kMuxSettle = SimTime::from_millis(2.0);
+/// RMS detectors: analog, modelled at this internal sampling rate with an
+/// exponential window of `kRmsTimeConstant`.
+inline constexpr double kAlarmSampleRateHz = 4096.0;
+inline constexpr SimTime kRmsTimeConstant = SimTime::from_millis(50.0);
 
 struct RmsAlarm {
   std::size_t channel = 0;
@@ -50,10 +50,11 @@ struct BankAcquisition {
 
 class DaqChain {
  public:
-  DaqChain(DaqConfig cfg, SignalSource source);
+  explicit DaqChain(SignalSource source);
 
-  [[nodiscard]] std::size_t channel_count() const;
-  [[nodiscard]] const DaqConfig& config() const { return cfg_; }
+  [[nodiscard]] static constexpr std::size_t channel_count() {
+    return kMuxCards * kBanksPerCard * kChannelsPerBank;
+  }
 
   /// Program one channel's RMS alarm threshold (nullopt disables).
   void set_alarm_threshold(std::size_t channel, std::optional<double> rms);
@@ -86,7 +87,6 @@ class DaqChain {
   void rearm_alarms();
 
  private:
-  DaqConfig cfg_;
   SignalSource source_;
   std::vector<std::optional<double>> thresholds_;
   std::vector<dsp::RmsTracker> trackers_;

@@ -6,7 +6,18 @@
 
 namespace mpros::plant {
 
-EmaSimulator::EmaSimulator(EmaConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}
+namespace {
+
+constexpr double kBaselineCurrent = 2.0;
+constexpr double kMotionCurrent = 5.0;  ///< extra current while slewing
+constexpr double kSpikeCurrent = 6.0;   ///< stiction spike height
+constexpr double kNoiseSigma = 0.05;
+constexpr std::size_t kSpikeWidth = 2;  ///< samples at elevated current
+constexpr std::size_t kSettleGap = 10;  ///< min samples between events
+
+}  // namespace
+
+EmaSimulator::EmaSimulator(EmaConfig cfg) : rng_(cfg.seed) {}
 
 std::vector<EmaSample> EmaSimulator::generate(std::size_t n,
                                               double stiction_level,
@@ -25,29 +36,29 @@ std::vector<EmaSample> EmaSimulator::generate(std::size_t n,
   const double spike_rate = 0.004 * stiction_level;
 
   for (std::size_t i = 0; i < n; ++i) {
-    double current = cfg_.baseline_current;
+    double current = kBaselineCurrent;
 
     if (cooldown > 0) --cooldown;
 
     if (motion_left > 0) {
-      current += cfg_.motion_current;
+      current += kMotionCurrent;
       cpos += 0.5;  // the commanded ramp continues
       --motion_left;
-      if (motion_left == 0) cooldown = cfg_.settle_gap;
+      if (motion_left == 0) cooldown = kSettleGap;
     } else if (spike_left > 0) {
-      current += cfg_.spike_current;
+      current += kSpikeCurrent;
       --spike_left;
-      if (spike_left == 0) cooldown = cfg_.settle_gap;
+      if (spike_left == 0) cooldown = kSettleGap;
     } else if (cooldown == 0) {
       if (rng_.bernoulli(move_rate)) {
         motion_left = 8;  // commanded slew: current AND cpos change together
       } else if (rng_.bernoulli(spike_rate)) {
-        spike_left = cfg_.spike_width;  // stiction: current only
+        spike_left = kSpikeWidth;  // stiction: current only
         ++injected_spikes_;
       }
     }
 
-    out[i].current = current + rng_.normal(0.0, cfg_.noise_sigma);
+    out[i].current = current + rng_.normal(0.0, kNoiseSigma);
     out[i].cpos = cpos;
   }
   return out;

@@ -22,12 +22,6 @@ struct EmaSample {
 };
 
 struct EmaConfig {
-  double baseline_current = 2.0;
-  double motion_current = 5.0;     ///< extra current while slewing
-  double spike_current = 6.0;      ///< stiction spike height
-  double noise_sigma = 0.05;
-  std::size_t spike_width = 2;     ///< samples at elevated current
-  std::size_t settle_gap = 10;     ///< min samples between events
   std::uint64_t seed = 0xE3A;
 };
 
@@ -49,7 +43,6 @@ class EmaSimulator {
   }
 
  private:
-  EmaConfig cfg_;
   Rng rng_;
   std::size_t injected_spikes_ = 0;
 };

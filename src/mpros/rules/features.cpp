@@ -33,9 +33,15 @@ std::optional<double> FeatureFrame::maybe(const std::string& key) const {
   return it->second;
 }
 
-FeatureExtractor::FeatureExtractor(domain::MachineSignature signature,
-                                   ExtractorConfig cfg)
-    : signature_(signature), cfg_(cfg) {}
+namespace {
+
+/// Extraction settings fitted to the 40 kHz 4-channel digitizer model.
+constexpr std::size_t kFftSize = 8192;
+constexpr double kEnvelopeBandLoHz = 2000.0;
+constexpr double kEnvelopeBandHiHz = 8000.0;
+constexpr double kOrderTolerance = 0.05;  ///< +/- orders when hunting a tone
+
+}  // namespace
 
 void FeatureExtractor::extract_vibration(std::span<const double> waveform,
                                          double sample_rate_hz,
@@ -52,11 +58,11 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
 
   dsp::SpectrumConfig scfg;
   scfg.fft_size =
-      std::max(cfg_.fft_size, dsp::next_power_of_two(waveform.size()));
+      std::max(kFftSize, dsp::next_power_of_two(waveform.size()));
   dsp::amplitude_spectrum(waveform, sample_rate_hz, scfg, spec);
 
   const auto order = [&](double k) {
-    return dsp::order_amplitude(spec, shaft, k, cfg_.order_tolerance);
+    return dsp::order_amplitude(spec, shaft, k, kOrderTolerance);
   };
 
   frame.set(feat::kOrderHalf, order(0.5));
@@ -83,8 +89,8 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
   const double gmf = signature_.gear_mesh_hz();
   if (gmf < sample_rate_hz / 2.0) {
     frame.set(feat::kGearMesh,
-              spec.band_peak(gmf - shaft * cfg_.order_tolerance,
-                             gmf + shaft * cfg_.order_tolerance));
+              spec.band_peak(gmf - shaft * kOrderTolerance,
+                             gmf + shaft * kOrderTolerance));
     const double sb_lo = spec.band_peak(gmf - shaft * 1.1, gmf - shaft * 0.9);
     const double sb_hi = spec.band_peak(gmf + shaft * 0.9, gmf + shaft * 1.1);
     frame.set(feat::kGearSidebands, std::sqrt(sb_lo * sb_lo + sb_hi * sb_hi));
@@ -94,8 +100,8 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
   const double vpf = signature_.vane_pass_hz();
   if (vpf < sample_rate_hz / 2.0) {
     frame.set(feat::kVanePass,
-              spec.band_peak(vpf * (1.0 - cfg_.order_tolerance),
-                             vpf * (1.0 + cfg_.order_tolerance)));
+              spec.band_peak(vpf * (1.0 - kOrderTolerance),
+                             vpf * (1.0 + kOrderTolerance)));
   }
 
   // Broadband high-frequency energy (cavitation raises the floor).
@@ -105,11 +111,11 @@ void FeatureExtractor::extract_vibration(std::span<const double> waveform,
                 std::min(12000.0, sample_rate_hz * 0.45))));
 
   // Bearing tones via envelope demodulation of the resonance band.
-  const double band_hi = std::min(cfg_.envelope_band_hi_hz,
+  const double band_hi = std::min(kEnvelopeBandHiHz,
                                   sample_rate_hz * 0.45);
-  if (cfg_.envelope_band_lo_hz < band_hi) {
+  if (kEnvelopeBandLoHz < band_hi) {
     dsp::envelope_bandpassed(waveform, sample_rate_hz,
-                             cfg_.envelope_band_lo_hz, band_hi, env);
+                             kEnvelopeBandLoHz, band_hi, env);
     // Remove the DC component of the envelope before the spectrum.
     const double env_mean = dsp::mean(env);
     for (double& v : env) v -= env_mean;

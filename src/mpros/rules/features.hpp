@@ -83,19 +83,11 @@ class FeatureFrame {
   std::unordered_map<std::string, double> values_;
 };
 
-/// Extraction settings; defaults fit the 40 kHz 4-channel digitizer model.
-struct ExtractorConfig {
-  std::size_t fft_size = 8192;
-  double envelope_band_lo_hz = 2000.0;
-  double envelope_band_hi_hz = 8000.0;
-  double order_tolerance = 0.05;  // +/- orders when hunting a tone
-};
-
 /// Turns raw test data into a FeatureFrame.
 class FeatureExtractor {
  public:
-  FeatureExtractor(domain::MachineSignature signature,
-                   ExtractorConfig cfg = {});
+  explicit FeatureExtractor(domain::MachineSignature signature)
+      : signature_(signature) {}
 
   /// Extract spectral + statistical features from a vibration waveform
   /// sampled at `sample_rate_hz`, merging them into `frame`.
@@ -113,7 +105,6 @@ class FeatureExtractor {
 
  private:
   domain::MachineSignature signature_;
-  ExtractorConfig cfg_;
 };
 
 }  // namespace mpros::rules

@@ -20,20 +20,6 @@
 
 namespace mpros::sbfr {
 
-/// Tuning for the Fig 3 pair.
-struct EmaConfig {
-  std::uint8_t current_channel = 0;  ///< drive-motor current input
-  std::uint8_t cpos_channel = 1;     ///< commanded-position input
-  double rise_threshold = 0.5;       ///< per-cycle delta flagged as "increase"
-  double fall_threshold = 0.5;       ///< per-cycle delta flagged as "decrease"
-  double dt_limit = 4;               ///< the figure's ∆T bound
-  double settle_cycles = 2;          ///< quiet cycles confirming the spike
-  double cpos_epsilon = 1e-6;        ///< |∆CPOS| below this = "unchanged"
-  int spike_count_limit = 4;         ///< "Local:1 > 4" → stiction
-  std::uint8_t spike_machine = 0;    ///< index the spike machine will get
-  std::uint8_t stiction_machine = 1; ///< index the stiction machine will get
-};
-
 /// Spike machine states, in index order.
 enum class SpikeState : std::uint8_t { Wait = 0, Possible1, Possible2, Spike };
 /// Stiction machine states, in index order.
@@ -42,8 +28,11 @@ enum class StictionState : std::uint8_t { Wait = 0, Stiction };
 /// Event code emitted by the stiction machine when it latches.
 inline constexpr std::uint8_t kStictionEventCode = 0x51;
 
-[[nodiscard]] MachineDef make_spike_machine(const EmaConfig& cfg = {});
-[[nodiscard]] MachineDef make_stiction_machine(const EmaConfig& cfg = {});
+/// The Fig 3 pair reads the drive-motor current on input 0 and the
+/// commanded position on input 1, and must be added to its SbfrSystem as
+/// machines 0 (spike) and 1 (stiction).
+[[nodiscard]] MachineDef make_spike_machine();
+[[nodiscard]] MachineDef make_stiction_machine();
 
 /// Threshold alarm: Idle -> Alarm when input(channel) > threshold for
 /// `hold_cycles` consecutive cycles; sets own status bit and emits

@@ -184,6 +184,32 @@ TEST_F(DataConcentratorTest, DisabledAnalyzersStaySilent) {
   EXPECT_TRUE(reports.empty());
 }
 
+TEST_F(DataConcentratorTest, SbfrCommandedOnStepsOnDcBuiltWithItOff) {
+  // A DC built with SBFR off still holds the SBFR machines, so commanding
+  // the analyzer on makes it step and latch.
+  chiller_.faults().schedule({FailureMode::CondenserFouling, SimTime(0),
+                              SimTime(0), 1.0, plant::GrowthProfile::Step});
+  DcConfig cfg = dc_config();
+  cfg.enable_sbfr = false;
+  DataConcentrator dc(cfg, refs_, chiller_);
+
+  net::CommandMessage cmd;
+  cmd.target = DcId(7);
+  cmd.revision = 1;
+  cmd.settings = {{"dc.enable_sbfr", 1.0}};
+  dc.apply_command(cmd, SimTime(0));
+  ASSERT_EQ(dc.runtime_setting("dc.enable_sbfr"), 1.0);
+
+  bool latched = false;
+  for (const net::FailureReport& r : dc.advance_to(SimTime::from_hours(2.0))) {
+    latched = latched ||
+              (r.knowledge_source == kSbfr &&
+               r.machine_condition ==
+                   domain::condition_id(FailureMode::CondenserFouling));
+  }
+  EXPECT_TRUE(latched);
+}
+
 TEST_F(DataConcentratorTest, KnowledgeSourceNames) {
   EXPECT_STREQ(knowledge_source_name(kDliExpertSystem), "DLI Expert System");
   EXPECT_STREQ(knowledge_source_name(kSbfr), "SBFR");
@@ -209,7 +235,7 @@ TEST(SensorValidatorTest, FlatlineWindowQuarantinesThenCleanRunsRelease) {
   EXPECT_TRUE(verdict.newly_quarantined);
   EXPECT_TRUE(v.quarantined("vib.motor"));
 
-  // Three consecutive clean acquisitions restore trust (release_after=3).
+  // Three consecutive clean acquisitions restore trust (kReleaseAfter = 3).
   EXPECT_FALSE(v.check_window("vib.motor", live).released);
   EXPECT_FALSE(v.check_window("vib.motor", live).released);
   const auto released = v.check_window("vib.motor", live);
@@ -552,9 +578,7 @@ TEST_F(DataConcentratorTest, WedgedDcFreezesProgressAndIgnoresWire) {
 }
 
 TEST(DcSupervisorTest, DetectsWedgeRearmsAndCountsRestarts) {
-  DcSupervisorConfig cfg;
-  cfg.wedge_timeout = SimTime::from_seconds(300.0);
-  DcSupervisor sup(cfg);
+  DcSupervisor sup;
   const DcId dc(3);
 
   EXPECT_FALSE(sup.observe(dc, 1, SimTime::from_seconds(0.0)));

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <tuple>
 
 #include "mpros/mpros/mpros.hpp"
 #include "mpros/telemetry/metrics.hpp"
@@ -470,6 +471,38 @@ std::string browser_fingerprint(ShipSystem& ship) {
   return out;
 }
 
+TEST(AnalyzerToggleTest, DliOffLeavesWnnReportsUnchanged) {
+  // `enable_dli` gates the DLI expert system only: a DC running with it off
+  // emits exactly the WNN reports it emits with it on.
+  const std::shared_ptr<const nn::WnnClassifier> wnn = train_wnn_classifier();
+  using Emitted = std::tuple<std::uint64_t, std::uint64_t, double, double,
+                             std::int64_t>;
+  const auto wnn_reports = [&](bool enable_dli) {
+    plant::ChillerConfig pc;
+    pc.seed = 0xD11;
+    plant::ChillerSimulator chiller(pc);
+    chiller.faults().schedule({FailureMode::MotorImbalance, SimTime(0),
+                               SimTime(0), 0.9, plant::GrowthProfile::Step});
+    dc::DcConfig cfg;
+    cfg.vibration_period = SimTime::from_seconds(300);
+    cfg.enable_dli = enable_dli;
+    dc::DataConcentrator dc(cfg, {ObjectId(1), ObjectId(2), ObjectId(3),
+                                  ObjectId(4)},
+                            chiller, wnn);
+    std::vector<Emitted> out;
+    for (const net::FailureReport& r :
+         dc.advance_to(SimTime::from_hours(1.0))) {
+      if (r.knowledge_source != dc::kWaveletNeuralNet) continue;
+      out.emplace_back(r.sensed_object.value(), r.machine_condition.value(),
+                       r.severity, r.belief, r.timestamp.micros());
+    }
+    return out;
+  };
+  const std::vector<Emitted> with_dli = wnn_reports(true);
+  ASSERT_FALSE(with_dli.empty());
+  EXPECT_EQ(wnn_reports(false), with_dli);
+}
+
 TEST(ShipSystemTest, SharedWnnWithFourWorkersIsDeterministic) {
   // Four DCs on four pool workers share one trained WNN. Two runs of the
   // same seeded ship must render byte-identical browser and ICAS output:
@@ -514,7 +547,7 @@ TEST(SupervisorRecoveryTest, WedgeRecoveryIsByteIdenticalToUnwedgedRun) {
   // Two identically-seeded ships run the identical fault script under an
   // identical hard outage isolating dc-1 over [3600 s, 4500 s]. Ship B
   // additionally wedges DC 0 at 3600 s; the supervisor notices the frozen
-  // progress tick (wedge_timeout 300 s -> fires at 3900 s), rebuilds the DC
+  // progress tick (kWedgeTimeout 300 s -> fires at 3900 s), rebuilds the DC
   // from its salvage and catches it up through the recorded step grid. The
   // outage covers the wedge through recovery, so both runs drop exactly the
   // same datagrams — any divergence in the operator view could only come

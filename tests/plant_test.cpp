@@ -512,46 +512,43 @@ SignalSource tone_source(double freq, double amp) {
 }
 
 TEST(DaqTest, ThirtyTwoChannelsViaTwoMuxCards) {
-  DaqChain daq(DaqConfig{}, tone_source(100.0, 1.0));
+  DaqChain daq(tone_source(100.0, 1.0));
   EXPECT_EQ(daq.channel_count(), 32u);
 }
 
 TEST(DaqTest, BankAcquisitionTimesAccountForSettle) {
-  DaqConfig cfg;
-  DaqChain daq(cfg, tone_source(100.0, 1.0));
+  DaqChain daq(tone_source(100.0, 1.0));
   const auto acq = daq.acquire_bank(0, 0, 4096, 40960.0, SimTime(0));
   EXPECT_EQ(acq.waveforms.size(), 4u);
   EXPECT_EQ(acq.channels, (std::vector<std::size_t>{0, 1, 2, 3}));
-  const double expected_s = cfg.mux_settle.seconds() + 4096.0 / 40960.0;
+  const double expected_s = kMuxSettle.seconds() + 4096.0 / 40960.0;
   EXPECT_NEAR((acq.finished - acq.started).seconds(), expected_s, 1e-9);
 }
 
 TEST(DaqTest, SampleRateClampedToCardMaximum) {
-  DaqConfig cfg;
-  cfg.max_sample_rate_hz = 51200.0;
-  DaqChain daq(cfg, tone_source(100.0, 1.0));
+  ASSERT_EQ(kMaxSampleRateHz, 51200.0);
+  DaqChain daq(tone_source(100.0, 1.0));
   const auto acq = daq.acquire_bank(0, 0, 5120, 1e6, SimTime(0));
   // Record length reflects the clamped rate: 5120 / 51200 = 0.1 s.
-  EXPECT_NEAR((acq.finished - acq.started).seconds() -
-                  cfg.mux_settle.seconds(),
+  EXPECT_NEAR((acq.finished - acq.started).seconds() - kMuxSettle.seconds(),
               0.1, 1e-9);
 }
 
 TEST(DaqTest, FullScanCoversEveryChannelSequentially) {
-  DaqChain daq(DaqConfig{}, tone_source(100.0, 1.0));
+  DaqChain daq(tone_source(100.0, 1.0));
   const auto scan = daq.scan_all(1024, 40960.0, SimTime(0));
   EXPECT_EQ(scan.waveforms.size(), 32u);
   EXPECT_EQ(scan.total_samples, 32u * 1024u);
   for (const auto& w : scan.waveforms) EXPECT_EQ(w.size(), 1024u);
   // 8 banks in sequence.
   const double expected =
-      8.0 * (DaqConfig{}.mux_settle.seconds() + 1024.0 / 40960.0);
+      8.0 * (kMuxSettle.seconds() + 1024.0 / 40960.0);
   EXPECT_NEAR(scan.duration.seconds(), expected, 1e-9);
 }
 
 TEST(DaqTest, RmsAlarmFiresOnlyAboveThreshold) {
   // Channel tone RMS = 1/sqrt(2) ≈ 0.707.
-  DaqChain daq(DaqConfig{}, tone_source(100.0, 1.0));
+  DaqChain daq(tone_source(100.0, 1.0));
   daq.set_alarm_threshold(3, 0.5);
   daq.set_alarm_threshold(4, 0.9);  // above the actual RMS: stays quiet
   const auto alarms = daq.poll_alarms(SimTime(0), SimTime::from_seconds(1.0));
@@ -561,7 +558,7 @@ TEST(DaqTest, RmsAlarmFiresOnlyAboveThreshold) {
 }
 
 TEST(DaqTest, AlarmLatchesUntilRearm) {
-  DaqChain daq(DaqConfig{}, tone_source(100.0, 1.0));
+  DaqChain daq(tone_source(100.0, 1.0));
   daq.set_alarm_threshold(0, 0.5);
   EXPECT_EQ(daq.poll_alarms(SimTime(0), SimTime::from_seconds(1.0)).size(),
             1u);
@@ -576,7 +573,7 @@ TEST(DaqTest, AlarmLatchesUntilRearm) {
 TEST(DaqTest, AlarmDetectionLatencyIsSmall) {
   // Alarm RMS time constant 50 ms: a sudden full-scale tone must be flagged
   // within a few time constants.
-  DaqChain daq(DaqConfig{}, tone_source(500.0, 2.0));
+  DaqChain daq(tone_source(500.0, 2.0));
   daq.set_alarm_threshold(0, 1.0);
   const auto alarms = daq.poll_alarms(SimTime(0), SimTime::from_seconds(1.0));
   ASSERT_EQ(alarms.size(), 1u);
