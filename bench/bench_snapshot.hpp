@@ -11,6 +11,8 @@
 #include <string>
 #include <system_error>
 
+#include "mpros/codec/codec.hpp"
+
 namespace mpros::bench {
 
 /// Open snapshot `name` for writing in the directory of the running binary;
@@ -34,14 +36,9 @@ inline std::FILE* open_snapshot(const char* name, std::string& path) {
 /// Value of `"key": <number>` in the committed snapshot `name` in the working
 /// directory, or 0 when the file or the key is missing.
 inline double committed_baseline(const char* name, const char* key) {
-  std::FILE* f = std::fopen(name, "r");
-  if (f == nullptr) return 0.0;
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
+  const auto bytes = codec::read_file(name);
+  if (!bytes.has_value()) return 0.0;
+  const std::string text(bytes->begin(), bytes->end());
   const std::string quoted = std::string("\"") + key + "\":";
   const std::size_t at = text.find(quoted);
   double value = 0.0;

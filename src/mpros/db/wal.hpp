@@ -7,9 +7,10 @@
 // CRC-framed record and a single fsync makes the whole batch durable — one
 // fsync per commit window, not per record. Recovery replays intact records
 // in order and truncates the first torn or corrupt frame (and everything
-// after it), exactly like the flight recorder's fail-soft TryReader decode.
+// after it), through the same fail-soft codec::TryReader as the wire and
+// the flight recorder.
 //
-// On-disk layout (all integers little-endian, the recorder's dump idiom):
+// On-disk layout (mpros/codec little-endian, the recorder's dump idiom):
 //
 //   "MWAL" u8 version                                  file header
 //   { u32 payload_len | u32 crc32(payload) | payload } *    commit frames
@@ -24,48 +25,32 @@
 #include <string>
 #include <vector>
 
+#include "mpros/codec/codec.hpp"
 #include "mpros/db/database.hpp"
 
 namespace mpros::db {
 
 inline constexpr std::uint8_t kWalVersion = 1;
 
-// -- Shared binary codec ------------------------------------------------------
-// Reused by the snapshot encoding (snapshot.cpp) and the fuzz tests.
+// -- Db-typed encoding --------------------------------------------------------
+// Value, row, schema and op layouts on the shared byte codec, used by the log
+// and by the snapshot encoding (snapshot.cpp).
 
 namespace walfmt {
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v);
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v);
-void put_f64(std::vector<std::uint8_t>& out, double v);  // IEEE-754 bits
-void put_str(std::vector<std::uint8_t>& out, const std::string& s);
-void put_value(std::vector<std::uint8_t>& out, const Value& v);
-void put_row(std::vector<std::uint8_t>& out, const Row& row);
-void put_schema(std::vector<std::uint8_t>& out, const TableSchema& schema);
-void put_op(std::vector<std::uint8_t>& out, const RedoOp& op);
+void put_value(codec::Writer& out, const Value& v);
+void put_row(codec::Writer& out, const Row& row);
+void put_schema(codec::Writer& out, const TableSchema& schema);
+void put_op(codec::Writer& out, const RedoOp& op);
 
-/// Bounds-checked reader: every read reports success, nothing aborts, and
-/// count fields are guarded against memory bombs (a count the remaining
-/// bytes cannot possibly hold is a decode failure, not an allocation).
-struct TryReader {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return data.size() - pos; }
-
-  bool u8(std::uint8_t& v);
-  bool u32(std::uint32_t& v);
-  bool u64(std::uint64_t& v);
-  bool i64(std::int64_t& v);
-  bool f64(double& v);
-  bool str(std::string& s);
-  bool value(Value& v);
-  bool row(Row& row);
-  bool schema(TableSchema& schema);
-  bool op(RedoOp& op);
-};
+/// Fail-soft decoders: a malformed encoding (unknown tag, bad schema byte,
+/// or a count the remaining bytes cannot possibly hold — a memory-bomb
+/// guard, not an allocation) latches `in` failed; the returned value is
+/// then meaningless.
+Value read_value(codec::TryReader& in);
+Row read_row(codec::TryReader& in);
+TableSchema read_schema(codec::TryReader& in);
+RedoOp read_op(codec::TryReader& in);
 
 /// CRC-32 (IEEE 802.3 polynomial, table-driven) over `data`.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
@@ -151,9 +136,9 @@ class WriteAheadLog {
 
   std::string path_;
   std::FILE* file_ = nullptr;
-  std::vector<std::uint8_t> pending_;  ///< ops of the open (unsealed) commit
+  codec::Writer pending_;  ///< ops of the open (unsealed) commit
   std::size_t pending_ops_ = 0;
-  std::vector<std::uint8_t> sealed_;   ///< framed commits awaiting sync()
+  codec::Writer sealed_;   ///< framed commits awaiting sync()
   std::uint64_t next_seq_ = 1;
   std::uint64_t synced_bytes_ = 0;
   Stats stats_;

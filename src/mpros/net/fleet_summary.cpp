@@ -1,6 +1,6 @@
 #include "mpros/net/fleet_summary.hpp"
 
-#include "mpros/net/codec.hpp"
+#include "mpros/codec/codec.hpp"
 #include "mpros/net/messages.hpp"
 
 namespace mpros::net {
@@ -16,7 +16,7 @@ constexpr std::uint8_t kHasMedianTtf = 0x02;
 }  // namespace
 
 std::vector<std::uint8_t> serialize(const FleetSummary& s) {
-  Writer w;
+  codec::Writer w;
   w.u16(kFleetMagic);
   w.u8(kFleetVersion);
   w.u64(s.ship.value());
@@ -51,7 +51,7 @@ std::vector<std::uint8_t> serialize(const FleetSummary& s) {
 
 std::optional<FleetSummary> try_deserialize_fleet_summary(
     std::span<const std::uint8_t> bytes) {
-  TryReader rd(bytes);
+  codec::TryReader rd(bytes);
   if (rd.u16() != kFleetMagic) return std::nullopt;
   const std::uint8_t version = rd.u8();
   if (!rd.ok() || version < 1 || version > kFleetVersion) return std::nullopt;
@@ -103,7 +103,7 @@ std::optional<FleetSummary> try_deserialize_fleet_summary(
 }
 
 std::vector<std::uint8_t> wrap(const FleetSummaryEnvelope& m) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::FleetSummaryEnvelopeMsg));
   w.u64(m.ship.value());
   w.u64(m.sequence);
@@ -118,7 +118,7 @@ std::optional<FleetSummaryEnvelope> try_unwrap_fleet_envelope(
   if (try_peek_type(bytes) != MessageType::FleetSummaryEnvelopeMsg) {
     return std::nullopt;
   }
-  TryReader r(bytes.subspan(1));
+  codec::TryReader r(bytes.subspan(1));
   FleetSummaryEnvelope m;
   m.ship = ShipId(r.u64());
   m.sequence = r.u64();

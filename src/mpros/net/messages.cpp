@@ -1,6 +1,6 @@
 #include "mpros/net/messages.hpp"
 
-#include "mpros/net/codec.hpp"
+#include "mpros/codec/codec.hpp"
 
 namespace mpros::net {
 
@@ -53,7 +53,7 @@ std::optional<MessageType> try_peek_type(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> wrap(const SensorDataMessage& m) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::SensorData));
   w.u64(m.dc.value());
   w.u64(m.machine.value());
@@ -67,7 +67,7 @@ std::vector<std::uint8_t> wrap(const SensorDataMessage& m) {
 }
 
 std::vector<std::uint8_t> wrap(const TestCommandMessage& m) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::TestCommand));
   w.u64(m.target.value());
   w.u8(static_cast<std::uint8_t>(m.command));
@@ -76,7 +76,7 @@ std::vector<std::uint8_t> wrap(const TestCommandMessage& m) {
 }
 
 std::vector<std::uint8_t> wrap(const AckMessage& m) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::Ack));
   w.u64(m.dc.value());
   w.u64(m.cumulative);
@@ -84,7 +84,7 @@ std::vector<std::uint8_t> wrap(const AckMessage& m) {
 }
 
 std::vector<std::uint8_t> wrap(const HeartbeatMessage& m) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::Heartbeat));
   w.u64(m.dc.value());
   w.i64(m.timestamp.micros());
@@ -93,7 +93,7 @@ std::vector<std::uint8_t> wrap(const HeartbeatMessage& m) {
 }
 
 std::vector<std::uint8_t> serialize(const CommandMessage& m) {
-  Writer w;
+  codec::Writer w;
   w.u16(kCommandMagic);
   w.u8(kCommandVersion);
   w.u64(m.target.value());
@@ -110,7 +110,7 @@ std::vector<std::uint8_t> serialize(const CommandMessage& m) {
 
 std::optional<CommandMessage> try_deserialize_command(
     std::span<const std::uint8_t> bytes) {
-  TryReader rd(bytes);
+  codec::TryReader rd(bytes);
   if (rd.u16() != kCommandMagic) return std::nullopt;
   const std::uint8_t version = rd.u8();
   if (!rd.ok() || version < 1 || version > kCommandVersion) {
@@ -145,7 +145,7 @@ std::vector<std::uint8_t> wrap(const CommandMessage& m) {
 }
 
 std::vector<std::uint8_t> wrap(const CommandEnvelope& m) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::CommandEnvelopeMsg));
   w.u64(m.dc.value());
   w.u64(m.sequence);
@@ -157,7 +157,7 @@ std::vector<std::uint8_t> wrap(const CommandEnvelope& m) {
 
 std::vector<std::uint8_t> wrap_batch_envelope(
     DcId dc, std::uint64_t sequence, std::span<const FailureReport> reports) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(MessageType::ReportBatchEnvelopeMsg));
   w.u64(dc.value());
   w.u64(sequence);
@@ -177,7 +177,7 @@ std::optional<ReportBatchView> try_unwrap_reports_into(
   if (try_peek_type(bytes) != MessageType::ReportBatchEnvelopeMsg) {
     return std::nullopt;
   }
-  TryReader rd(bytes.subspan(1));
+  codec::TryReader rd(bytes.subspan(1));
   ReportBatchView view;
   view.dc = DcId(rd.u64());
   view.sequence = rd.u64();
@@ -214,7 +214,7 @@ std::optional<CommandEnvelope> try_unwrap_command_envelope(
   if (try_peek_type(bytes) != MessageType::CommandEnvelopeMsg) {
     return std::nullopt;
   }
-  TryReader r(bytes.subspan(1));
+  codec::TryReader r(bytes.subspan(1));
   CommandEnvelope m;
   m.dc = DcId(r.u64());
   m.sequence = r.u64();
@@ -229,7 +229,7 @@ std::optional<CommandEnvelope> try_unwrap_command_envelope(
 std::optional<SensorDataMessage> try_unwrap_sensor_data(
     std::span<const std::uint8_t> bytes) {
   if (try_peek_type(bytes) != MessageType::SensorData) return std::nullopt;
-  TryReader r(bytes.subspan(1));
+  codec::TryReader r(bytes.subspan(1));
   SensorDataMessage m;
   m.dc = DcId(r.u64());
   m.machine = ObjectId(r.u64());
@@ -251,7 +251,7 @@ std::optional<SensorDataMessage> try_unwrap_sensor_data(
 std::optional<TestCommandMessage> try_unwrap_test_command(
     std::span<const std::uint8_t> bytes) {
   if (try_peek_type(bytes) != MessageType::TestCommand) return std::nullopt;
-  TryReader r(bytes.subspan(1));
+  codec::TryReader r(bytes.subspan(1));
   TestCommandMessage m;
   m.target = DcId(r.u64());
   const std::uint8_t command = r.u8();
@@ -268,7 +268,7 @@ std::optional<TestCommandMessage> try_unwrap_test_command(
 
 std::optional<AckMessage> try_unwrap_ack(std::span<const std::uint8_t> bytes) {
   if (try_peek_type(bytes) != MessageType::Ack) return std::nullopt;
-  TryReader r(bytes.subspan(1));
+  codec::TryReader r(bytes.subspan(1));
   AckMessage m;
   m.dc = DcId(r.u64());
   m.cumulative = r.u64();
@@ -279,7 +279,7 @@ std::optional<AckMessage> try_unwrap_ack(std::span<const std::uint8_t> bytes) {
 std::optional<HeartbeatMessage> try_unwrap_heartbeat(
     std::span<const std::uint8_t> bytes) {
   if (try_peek_type(bytes) != MessageType::Heartbeat) return std::nullopt;
-  TryReader r(bytes.subspan(1));
+  codec::TryReader r(bytes.subspan(1));
   HeartbeatMessage m;
   m.dc = DcId(r.u64());
   m.timestamp = SimTime(r.i64());

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <span>
 
-#include "mpros/net/codec.hpp"
+#include "mpros/codec/codec.hpp"
 
 namespace mpros::net {
 namespace {
@@ -14,7 +14,7 @@ constexpr std::uint8_t kReportVersion = 2;
 
 }  // namespace
 
-void serialize_report_into(Writer& w, const FailureReport& r) {
+void serialize_report_into(codec::Writer& w, const FailureReport& r) {
   w.u16(kReportMagic);
   w.u8(kReportVersion);
   w.u64(r.trace);
@@ -36,12 +36,12 @@ void serialize_report_into(Writer& w, const FailureReport& r) {
 }
 
 std::vector<std::uint8_t> serialize(const FailureReport& r) {
-  Writer w;
+  codec::Writer w;
   serialize_report_into(w, r);
   return w.take();
 }
 
-bool try_read_report_frame(TryReader& rd, FailureReport& out) {
+bool try_read_report_frame(codec::TryReader& rd, FailureReport& out) {
   if (rd.u16() != kReportMagic) {
     rd.fail();
     return false;
@@ -83,7 +83,7 @@ bool try_read_report_frame(TryReader& rd, FailureReport& out) {
 
 std::optional<FailureReport> try_deserialize_report(
     std::span<const std::uint8_t> bytes) {
-  TryReader rd(bytes);
+  codec::TryReader rd(bytes);
   FailureReport r;
   if (!try_read_report_frame(rd, r) || !rd.done()) return std::nullopt;
   return r;

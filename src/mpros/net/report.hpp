@@ -15,6 +15,11 @@
 #include "mpros/common/clock.hpp"
 #include "mpros/common/ids.hpp"
 
+namespace mpros::codec {
+class Writer;
+class TryReader;
+}  // namespace mpros::codec
+
 namespace mpros::net {
 
 /// §7.3: "Zero to n ordered pairs of the form '(probability, time)'. Each
@@ -52,23 +57,20 @@ struct FailureReport {
                          const FailureReport&) = default;
 };
 
-class Writer;
-class TryReader;
-
 /// One report frame (versioned; v2 adds the trace id, v1 still decodes).
 [[nodiscard]] std::vector<std::uint8_t> serialize(const FailureReport& r);
 
 /// Appends one report frame (magic + version + fields) to `w`. A batch body
 /// is a count of these frames back to back; serialize() is the one-frame
 /// special case.
-void serialize_report_into(Writer& w, const FailureReport& r);
+void serialize_report_into(codec::Writer& w, const FailureReport& r);
 
 /// Fail-soft decode of one report frame from `rd` into `out`, reusing
 /// `out`'s string/prognostics capacity (the arena-decode hot path). Consumes
 /// exactly the frame and does NOT require rd.done() — batch decoding reads
 /// several frames back to back. Returns false (and latches rd) on bad
 /// magic/version, truncation, or a hostile prognostic count.
-bool try_read_report_frame(TryReader& rd, FailureReport& out);
+bool try_read_report_frame(codec::TryReader& rd, FailureReport& out);
 
 /// Fail-soft decode of exactly one report frame (the inverse of
 /// serialize()): returns nullopt on truncation, bad magic/version, or

@@ -201,6 +201,12 @@ std::optional<ObjectId> PdmeExecutive::submit(
     } else {
       for (const net::ReportEnvelope& env : run) {
         const net::FailureReport& r = env.report;
+        // Screen before the signature and the post: a malformed report
+        // must not become a (journaled) Report object or spend a signature.
+        if (!well_formed(r)) {
+          count_malformed();
+          continue;
+        }
         if (cfg_.deduplicate &&
             !seen_signatures_.insert(report_signature(r)).second) {
           ++stats_.duplicates_dropped;

@@ -126,7 +126,7 @@ class PdmeExecutive {
   /// Step 1 of §5.1: post a report into the OOSM (and let the event chain
   /// run fusion). A one-element unsequenced span through submit(). Returns
   /// the created report object's id; nullopt if the report was a duplicate
-  /// retransmission.
+  /// retransmission or malformed (counted, never posted).
   std::optional<ObjectId> accept(const net::FailureReport& report);
 
   /// Post a sensor-data batch: values land as properties on the machine's

@@ -6,8 +6,8 @@
 #include <set>
 #include <span>
 
+#include "mpros/codec/codec.hpp"
 #include "mpros/common/rng.hpp"
-#include "mpros/net/codec.hpp"
 #include "mpros/net/fleet_summary.hpp"
 #include "mpros/net/messages.hpp"
 #include "mpros/net/network.hpp"
@@ -20,7 +20,7 @@ namespace mpros::net {
 namespace {
 
 TEST(CodecTest, PrimitivesRoundTrip) {
-  Writer w;
+  codec::Writer w;
   w.u8(0xAB);
   w.u16(0x1234);
   w.u32(0xDEADBEEF);
@@ -30,7 +30,7 @@ TEST(CodecTest, PrimitivesRoundTrip) {
   w.str("hello");
   w.str("");
 
-  TryReader r(w.bytes());
+  codec::TryReader r(w.bytes());
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
@@ -222,7 +222,7 @@ TEST(FuzzDecodeTest, VersionOneReportStillDecodes) {
   // A v1 wire image (pre-trace) hand-built field by field: upgraded nodes
   // must keep accepting reports from DCs that have not been reflashed.
   const FailureReport expected = sample_report();
-  Writer w;
+  codec::Writer w;
   w.u16(0x4D52);  // magic "MR"
   w.u8(1);        // version 1: no trace id
   w.u64(expected.dc.value());
@@ -939,7 +939,7 @@ TEST(BatchProtocolTest, ZeroSequenceEnvelopeRejected) {
 /// frame, 10 = an unsequenced batch body.
 std::vector<std::uint8_t> retired_datagram(MessageType type,
                                            const FailureReport& r) {
-  Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(type));
   if (type == MessageType::ReportEnvelopeMsg) {
     w.u64(r.dc.value());

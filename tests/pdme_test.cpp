@@ -8,8 +8,8 @@
 #include <limits>
 #include <string>
 
+#include "mpros/codec/codec.hpp"
 #include "mpros/dc/data_concentrator.hpp"
-#include "mpros/net/codec.hpp"
 #include "mpros/oosm/ship_builder.hpp"
 #include "mpros/pdme/browser.hpp"
 #include "mpros/pdme/mimosa.hpp"
@@ -44,7 +44,7 @@ net::FailureReport make_report(ObjectId machine, FailureMode mode,
 /// frame, 10 = an unsequenced batch body.
 std::vector<std::uint8_t> retired_datagram(net::MessageType type,
                                            const net::FailureReport& r) {
-  net::Writer w;
+  codec::Writer w;
   w.u8(static_cast<std::uint8_t>(type));
   if (type == net::MessageType::ReportEnvelopeMsg) {
     w.u64(r.dc.value());
@@ -436,7 +436,9 @@ TEST_F(PdmeTest, NonFiniteReportValuesCountedMalformed) {
     return out;
   };
 
-  for (const net::FailureReport& r : hostile(100.0)) pdme_.accept(r);
+  for (const net::FailureReport& r : hostile(100.0)) {
+    EXPECT_FALSE(pdme_.accept(r).has_value());
+  }
   EXPECT_EQ(pdme_.snapshot().malformed_dropped, 3u);
 
   net::SimNetwork network;
@@ -460,6 +462,10 @@ TEST_F(PdmeTest, NonFiniteReportValuesCountedMalformed) {
   EXPECT_TRUE(pdme_.prioritized_list().empty());
   EXPECT_FALSE(
       pdme_.prognosis(motor_, FailureMode::MotorImbalance).has_value());
+  // Screened before posting: none became a Report object (on a durable
+  // ship, a WAL record) that recovery would find again.
+  EXPECT_TRUE(
+      model_.objects_of_kind(domain::EquipmentKind::Report).empty());
 
   // The executive is unharmed: a sane report still fuses.
   pdme_.accept(make_report(motor_, FailureMode::MotorImbalance, 0.6, 0.8, 1,
